@@ -182,7 +182,9 @@ class Analyzer:
 
         sweep: ClusterQualitySweep | None = None
         if cfg.n_clusters is not None:
-            chosen_k = cfg.n_clusters
+            kmeans = self._kmeans_factory(cfg.n_clusters).fit(
+                scores, sample_weight=weights
+            )
         else:
             sweep = sweep_cluster_counts(
                 scores,
@@ -193,11 +195,8 @@ class Analyzer:
             knee = knee_point(
                 sweep.cluster_counts.astype(float), sweep.sse
             )
-            chosen_k = int(sweep.cluster_counts[knee])
-
-        kmeans = self._kmeans_factory(chosen_k).fit(
-            scores, sample_weight=weights
-        )
+            # The sweep fitted this k with the same seed and data.
+            kmeans = sweep.fits[knee]
         cluster_weights = self._cluster_weights(kmeans, refined)
 
         return AnalysisResult(

@@ -88,18 +88,61 @@ def kmeans_plus_plus_init(
     sample_weight: np.ndarray | None = None,
 ) -> np.ndarray:
     """Select initial centroids by D² weighted sampling (k-means++)."""
-    n_samples = data.shape[0]
-    weight = (
-        np.ones(n_samples)
-        if sample_weight is None
-        else np.asarray(sample_weight, dtype=np.float64)
+    weight = None if sample_weight is None else np.asarray(
+        sample_weight, dtype=np.float64
     )
-    prob = weight / weight.sum()
+    fit_data = _FitData(as_matrix(data, name="data"), weight, n_clusters)
+    return _plus_plus(fit_data, n_clusters, rng)
+
+
+class _FitData:
+    """What every restart of one k-means fit shares.
+
+    The validated data, its row norms ``||x||²``, the effective weights
+    and the weighted rows never change between restarts, Lloyd
+    iterations or the final labelling, so a fit computes them once.
+    """
+
+    def __init__(
+        self, data: np.ndarray, weight: np.ndarray | None, n_clusters: int
+    ) -> None:
+        n_samples, n_features = data.shape
+        self.data = data
+        self.weight = np.ones(n_samples) if weight is None else weight
+        self.prob = self.weight / self.weight.sum()
+        self.weighted = self.weight[:, None] * data
+        # One column per centroid, so the subtraction below runs over
+        # contiguous rows instead of broadcasting a column per row.
+        self.sq_norms = np.repeat(
+            np.einsum("ij,ij->i", data, data)[:, None], n_clusters, axis=1
+        )
+        self.bin_offsets = np.tile(np.arange(n_features), n_samples)
+
+    def sq_distances(self, centroids: np.ndarray) -> np.ndarray:
+        """``pairwise_sq_euclidean(data, centroids)``, bit for bit.
+
+        Runs the same operations in the same order — ``||x||² - 2x·c``,
+        then ``+ ||c||²``, then the clamp at zero — in place, reusing
+        the precomputed row norms instead of re-validating the data.
+        """
+        dist = self.data @ centroids.T
+        dist *= 2.0
+        np.subtract(self.sq_norms[:, : dist.shape[1]], dist, out=dist)
+        dist += np.einsum("ij,ij->i", centroids, centroids)
+        np.maximum(dist, 0.0, out=dist)
+        return dist
+
+
+def _plus_plus(
+    fit_data: _FitData, n_clusters: int, rng: np.random.Generator
+) -> np.ndarray:
+    data, weight, prob = fit_data.data, fit_data.weight, fit_data.prob
+    n_samples = data.shape[0]
     centroids = np.empty((n_clusters, data.shape[1]), dtype=np.float64)
 
     first = rng.choice(n_samples, p=prob)
     centroids[0] = data[first]
-    closest_sq = pairwise_sq_euclidean(data, centroids[:1]).ravel()
+    closest_sq = fit_data.sq_distances(centroids[:1]).ravel()
 
     for k in range(1, n_clusters):
         scores = closest_sq * weight
@@ -109,9 +152,10 @@ def kmeans_plus_plus_init(
             # distinct points than clusters); fall back to uniform draw.
             idx = rng.choice(n_samples, p=prob)
         else:
-            idx = rng.choice(n_samples, p=scores / total)
+            scores /= total
+            idx = rng.choice(n_samples, p=scores)
         centroids[k] = data[idx]
-        new_sq = pairwise_sq_euclidean(data, centroids[k : k + 1]).ravel()
+        new_sq = fit_data.sq_distances(centroids[k : k + 1]).ravel()
         np.minimum(closest_sq, new_sq, out=closest_sq)
     return centroids
 
@@ -178,6 +222,7 @@ class KMeans:
                 raise ValueError("sample_weight must be non-negative, sum > 0")
 
         rng = check_random_state(self.seed)
+        fit_data = _FitData(matrix, weight, self.n_clusters)
         if init is not None:
             init = np.ascontiguousarray(init, dtype=np.float64)
             if init.shape != (self.n_clusters, matrix.shape[1]):
@@ -185,12 +230,12 @@ class KMeans:
                     f"init must have shape ({self.n_clusters}, "
                     f"{matrix.shape[1]}), got {init.shape}"
                 )
-            best = self._single_run(matrix, weight, rng, init=init)
+            best = self._single_run(fit_data, rng, init=init)
             self.result_ = best
             return best
         best: KMeansResult | None = None
         for _ in range(self.n_init):
-            candidate = self._single_run(matrix, weight, rng)
+            candidate = self._single_run(fit_data, rng)
             if best is None or candidate.inertia < best.inertia:
                 best = candidate
         assert best is not None
@@ -208,27 +253,24 @@ class KMeans:
     # ------------------------------------------------------------------
     def _single_run(
         self,
-        data: np.ndarray,
-        weight: np.ndarray | None,
+        fit_data: _FitData,
         rng: np.random.Generator,
         init: np.ndarray | None = None,
     ) -> KMeansResult:
         if init is not None:
             centroids = init.copy()
         else:
-            centroids = kmeans_plus_plus_init(
-                data, self.n_clusters, rng, weight
-            )
-        eff_weight = np.ones(data.shape[0]) if weight is None else weight
-        labels = np.full(data.shape[0], -1, dtype=np.intp)
+            centroids = _plus_plus(fit_data, self.n_clusters, rng)
+        n_samples = fit_data.data.shape[0]
+        labels = np.full(n_samples, -1, dtype=np.intp)
         converged = False
         n_iter = 0
 
         for n_iter in range(1, self.max_iter + 1):
-            dist = pairwise_sq_euclidean(data, centroids)
+            dist = fit_data.sq_distances(centroids)
             new_labels = np.argmin(dist, axis=1)
             new_centroids = _update_centroids(
-                data, new_labels, eff_weight, centroids, dist, self.n_clusters
+                fit_data, new_labels, centroids, dist, self.n_clusters
             )
             shift = float(((new_centroids - centroids) ** 2).sum())
             stable = bool((new_labels == labels).all())
@@ -237,10 +279,10 @@ class KMeans:
                 converged = True
                 break
 
-        final_dist = pairwise_sq_euclidean(data, centroids)
+        final_dist = fit_data.sq_distances(centroids)
         labels = np.argmin(final_dist, axis=1)
-        point_sq = final_dist[np.arange(data.shape[0]), labels]
-        inertia = float((point_sq * eff_weight).sum())
+        point_sq = final_dist[np.arange(n_samples), labels]
+        inertia = float((point_sq * fit_data.weight).sum())
         return KMeansResult(
             centroids=centroids,
             labels=labels,
@@ -453,24 +495,33 @@ def assigned_sq_distances(
 
 
 def _update_centroids(
-    data: np.ndarray,
+    fit_data: _FitData,
     labels: np.ndarray,
-    weight: np.ndarray,
     old_centroids: np.ndarray,
     dist: np.ndarray,
     n_clusters: int,
 ) -> np.ndarray:
-    """Weighted centroid update with empty-cluster repair."""
-    centroids = old_centroids.copy()
-    mass = np.bincount(labels, weights=weight, minlength=n_clusters)
-    for dim in range(data.shape[1]):
-        sums = np.bincount(
-            labels, weights=weight * data[:, dim], minlength=n_clusters
-        )
-        live = mass > 0
-        centroids[live, dim] = sums[live] / mass[live]
+    """Weighted centroid update with empty-cluster repair.
 
-    empty = np.flatnonzero(mass == 0)
+    One ``bincount`` over flattened (label, dim) bins sums every
+    coordinate at once; each bin still adds its rows in row order, so
+    the sums match a per-dimension ``bincount`` bit for bit.
+    """
+    data = fit_data.data
+    n_features = data.shape[1]
+    centroids = old_centroids.copy()
+    mass = np.bincount(labels, weights=fit_data.weight, minlength=n_clusters)
+    bins = np.repeat(labels * n_features, n_features)
+    bins += fit_data.bin_offsets
+    sums = np.bincount(
+        bins,
+        weights=fit_data.weighted.ravel(),
+        minlength=n_clusters * n_features,
+    ).reshape(n_clusters, n_features)
+    live = mass > 0
+    centroids[live] = sums[live] / mass[live, None]
+
+    empty = np.flatnonzero(~live)
     if empty.size:
         # Re-seed each empty cluster on the point currently farthest from
         # its assigned centroid — a standard repair that keeps k constant.

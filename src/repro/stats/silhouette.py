@@ -8,11 +8,12 @@ picking the point of diminishing returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distance import pairwise_euclidean
+from .kmeans import KMeansResult
 from .validation import as_matrix, check_labels
 
 __all__ = [
@@ -36,22 +37,33 @@ def sum_squared_error(data, centroids, labels) -> float:
     return float(np.einsum("ij,ij->", diff, diff))
 
 
-def silhouette_samples(data, labels) -> np.ndarray:
+def silhouette_samples(data, labels, *, distances=None) -> np.ndarray:
     """Per-sample silhouette coefficients in ``[-1, 1]``.
 
     For sample *i* with mean intra-cluster distance ``a`` and smallest mean
     distance to another cluster ``b``: ``s = (b - a) / max(a, b)``.
     Samples in singleton clusters score 0 by convention (Rousseeuw 1987).
+
+    ``distances`` is the ``(n, n)`` Euclidean distance matrix of *data*
+    with a zero diagonal; callers scoring several labellings of the same
+    data build it once and pass it in.
     """
     matrix = as_matrix(data, name="data", min_rows=2)
-    lab = check_labels(labels, matrix.shape[0])
-    unique = np.unique(lab)
+    n = matrix.shape[0]
+    lab = check_labels(labels, n)
+    unique, own_col, sizes = np.unique(
+        lab, return_inverse=True, return_counts=True
+    )
     if unique.size < 2:
         raise ValueError("silhouette requires at least 2 clusters")
-
-    dist = pairwise_euclidean(matrix, matrix)
-    n = matrix.shape[0]
-    sizes = {int(c): int((lab == c).sum()) for c in unique}
+    if distances is None:
+        dist = _silhouette_distances(matrix)
+    else:
+        dist = np.asarray(distances, dtype=np.float64)
+        if dist.shape != (n, n):
+            raise ValueError(
+                f"distances must have shape ({n}, {n}), got {dist.shape}"
+            )
 
     # Mean distance from every sample to every cluster, in one pass.
     mean_to_cluster = np.empty((n, unique.size))
@@ -59,31 +71,35 @@ def silhouette_samples(data, labels) -> np.ndarray:
         members = lab == cluster
         mean_to_cluster[:, j] = dist[:, members].mean(axis=1)
 
+    rows = np.arange(n)
+    size = sizes[own_col]
+    scored = size > 1
+    # Exclude self from the intra-cluster mean; singletons score 0.
+    a = mean_to_cluster[rows, own_col] * size / np.maximum(size - 1, 1)
+    # b is the nearest *other* cluster: mask each sample's own column.
+    mean_to_cluster[rows, own_col] = np.inf
+    b = mean_to_cluster.min(axis=1)
+    denom = np.maximum(a, b)
     scores = np.zeros(n)
-    cluster_pos = {int(c): j for j, c in enumerate(unique)}
-    for i in range(n):
-        own = int(lab[i])
-        size = sizes[own]
-        if size == 1:
-            scores[i] = 0.0
-            continue
-        own_col = cluster_pos[own]
-        # Exclude self from the intra-cluster mean.
-        a = mean_to_cluster[i, own_col] * size / (size - 1)
-        others = [
-            mean_to_cluster[i, j]
-            for j in range(unique.size)
-            if j != own_col
-        ]
-        b = min(others)
-        denom = max(a, b)
-        scores[i] = 0.0 if denom == 0.0 else (b - a) / denom
+    np.divide(b - a, denom, out=scores, where=scored & (denom != 0.0))
     return scores
 
 
-def silhouette_score(data, labels) -> float:
+def silhouette_score(data, labels, *, distances=None) -> float:
     """Mean silhouette coefficient over all samples."""
-    return float(silhouette_samples(data, labels).mean())
+    return float(silhouette_samples(data, labels, distances=distances).mean())
+
+
+def _silhouette_distances(data) -> np.ndarray:
+    """Euclidean distances between the rows of *data*, zero on the diagonal.
+
+    The expansion in :func:`pairwise_euclidean` leaves rounding residue
+    of up to ``sqrt(eps)·||x||`` on the diagonal; the silhouette's
+    leave-self-out rescaling assumes ``d(i, i) = 0`` exactly.
+    """
+    dist = pairwise_euclidean(data, data)
+    np.fill_diagonal(dist, 0.0)
+    return dist
 
 
 @dataclass(frozen=True)
@@ -93,6 +109,9 @@ class ClusterQualitySweep:
     cluster_counts: np.ndarray
     sse: np.ndarray
     silhouette: np.ndarray
+    #: The K-means fit behind each row, so a caller that settles on one
+    #: of the swept k values reuses its fit instead of repeating it.
+    fits: tuple[KMeansResult, ...] = field(default=(), repr=False, compare=False)
 
     def as_rows(self) -> list[tuple[int, float, float]]:
         """(k, SSE, silhouette) rows, for table rendering."""
@@ -125,15 +144,24 @@ def sweep_cluster_counts(
 
     sse = np.empty(len(counts))
     sil = np.empty(len(counts))
+    fits = []
+    # Every k scores its labels against the same pairwise distances.
+    distances = _silhouette_distances(matrix)
     for i, k in enumerate(counts):
         result = kmeans_factory(k).fit(matrix, sample_weight=sample_weight)
+        fits.append(result)
         sse[i] = result.inertia
         if np.unique(result.labels).size < 2:
             sil[i] = 0.0
         else:
-            sil[i] = silhouette_score(matrix, result.labels)
+            sil[i] = silhouette_score(
+                matrix, result.labels, distances=distances
+            )
     return ClusterQualitySweep(
-        cluster_counts=np.asarray(counts), sse=sse, silhouette=sil
+        cluster_counts=np.asarray(counts),
+        sse=sse,
+        silhouette=sil,
+        fits=tuple(fits),
     )
 
 

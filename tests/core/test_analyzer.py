@@ -82,6 +82,21 @@ class TestClustering:
         assert analysis.sweep is not None
         assert analysis.n_clusters in (2, 4, 6)
 
+    def test_chosen_k_reuses_the_sweep_fit(self, refined):
+        analyzer = Analyzer(
+            AnalyzerConfig(cluster_counts=(2, 4, 6), kmeans_restarts=2, seed=0)
+        )
+        analysis = analyzer.analyze(refined)
+        k = analysis.n_clusters
+        index = analysis.sweep.cluster_counts.tolist().index(k)
+        assert analysis.kmeans is analysis.sweep.fits[index]
+        fresh = analyzer._kmeans_factory(k).fit(analysis.scores)
+        assert analysis.kmeans.centroids.tobytes() == fresh.centroids.tobytes()
+        assert analysis.kmeans.labels.tobytes() == fresh.labels.tobytes()
+        assert analysis.kmeans.inertia == fresh.inertia
+        assert analysis.kmeans.n_iter == fresh.n_iter
+        assert analysis.kmeans.converged == fresh.converged
+
     def test_labels_cover_dataset(self, analysis, refined):
         assert analysis.labels.shape == (refined.n_scenarios,)
         assert np.unique(analysis.labels).size == analysis.n_clusters

@@ -64,6 +64,27 @@ class TestSilhouette:
         with pytest.raises(ValueError, match="at least 2 clusters"):
             silhouette_score(points, np.zeros(10, dtype=int))
 
+    def test_large_norms_match_direct_differencing(self, rng):
+        # Far from the origin, the expanded |x|² - 2x·y + |y|² form leaves
+        # rounding residue of ~sqrt(eps)·|x| on the diagonal.  The
+        # leave-self-out rescaling assumes d(i, i) = 0 exactly.
+        labels = np.repeat([0, 1, 2], 20)
+        points = 1e3 + rng.normal(size=(60, 4))
+        points[labels == 1] += 3.0
+        points[labels == 2] -= 3.0
+        dist = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(-1))
+        expected = np.empty(60)
+        for i in range(60):
+            own = labels == labels[i]
+            a = dist[i, own].sum() / (own.sum() - 1)
+            b = min(
+                dist[i, labels == c].mean() for c in {0, 1, 2} - {labels[i]}
+            )
+            expected[i] = (b - a) / max(a, b)
+        np.testing.assert_allclose(
+            silhouette_samples(points, labels), expected, rtol=0, atol=1e-9
+        )
+
     def test_worse_labels_score_lower(self, two_blobs):
         points, labels = two_blobs
         good = silhouette_score(points, labels)
@@ -110,6 +131,14 @@ class TestSweep:
             sweep_cluster_counts(
                 points, (), kmeans_factory=lambda k: KMeans(k, seed=0)
             )
+
+    def test_keeps_each_fit(self, two_blobs):
+        points, _ = two_blobs
+        sweep = sweep_cluster_counts(
+            points, (2, 3), kmeans_factory=lambda k: KMeans(k, seed=0)
+        )
+        assert [fit.n_clusters for fit in sweep.fits] == [2, 3]
+        assert sweep.sse.tolist() == [fit.inertia for fit in sweep.fits]
 
     def test_as_rows(self, two_blobs):
         points, _ = two_blobs
