@@ -19,7 +19,7 @@ from ..perfmodel.batch import resolve_solver_mode
 from ..perfmodel.contention import RunningInstance
 from ..perfmodel.memo import validate_memo_spec
 from ..perfmodel.signatures import JobSignature
-from ..runtime.executor import Executor, resolve_executor
+from ..runtime.executor import Executor, SerialExecutor, resolve_executor
 from ..runtime.resilience import TaskFailure
 from ..telemetry.profiler import format_command, parse_command
 from ..workloads import get_job
@@ -234,7 +234,7 @@ class Replayer:
         *,
         executor: "Executor | str | None" = None,
     ) -> tuple[ReplayMeasurement, ...]:
-        """Replay several scenarios under *feature*, one task each.
+        """Replay several scenarios under *feature*, in scenario order.
 
         Replays are independent (one testbed machine per scenario in the
         paper), so they dispatch on *executor* in scenario order.  With a
@@ -249,30 +249,37 @@ class Replayer:
         measurements; the estimation layer drops them and renormalises
         the surviving group weights.
 
-        With the batched solver the executor dispatches whole scenario
-        *groups* per task (same group size as the scalar path's chunk
-        size), each group solved as one vectorised batch in the worker;
-        a skipped group expands back into one ``TaskFailure`` per
-        scenario so result positions are unchanged.
+        With the batched solver the executor dispatches scenario
+        *groups*, one task each, and every group is solved as one
+        vectorised batch by :meth:`replay_batch`.  A plain serial
+        executor (no failure policy, no checkpoint journal) gets a
+        single group holding every scenario, so one call makes at most
+        one baseline and one feature solve.  Any other executor gets
+        groups of ``_REPLAY_GROUP_SIZE``, which keeps worker balance,
+        failure granularity and per-group journal entries; a skipped
+        group expands back into one ``TaskFailure`` per scenario so
+        result positions are unchanged.  The batched solver treats every
+        row on its own, so the grouping never changes a result.
         """
         from ..obs import span
 
         mode = resolve_solver_mode(self.solver, len(scenarios))
         if mode == "batched" and self._metric is scenario_performance:
+            pool = resolve_executor(executor)
+            size = _replay_group_size(pool, len(scenarios))
             groups = [
-                scenarios[start : start + _REPLAY_GROUP_SIZE]
-                for start in range(0, len(scenarios), _REPLAY_GROUP_SIZE)
+                scenarios[start : start + size]
+                for start in range(0, len(scenarios), size)
             ]
             task = _ReplayBatchTask(replayer=self, feature=feature)
             with span(
                 "replayer.replay_many",
                 feature=feature.name,
                 n_scenarios=len(scenarios),
+                n_groups=len(groups),
                 solver="batched",
             ):
-                grouped = resolve_executor(executor).map(
-                    task, groups, chunk_size=1, stage="replays"
-                )
+                grouped = pool.map(task, groups, chunk_size=1, stage="replays")
             flat: list[ReplayMeasurement | TaskFailure] = []
             for group, result in zip(groups, grouped):
                 if isinstance(result, TaskFailure):
@@ -294,9 +301,22 @@ class Replayer:
             )
 
 
-# Scenarios per batched replay task — matches the scalar dispatch path's
-# chunk size so worker granularity (and telemetry cadence) is unchanged.
+# Scenarios per batched replay task under a pool, a failure policy or a
+# checkpoint journal (a plain serial executor replays one group of all).
+# It matches the scalar dispatch path's chunk size, so worker balance
+# and skip granularity are those of that path.
 _REPLAY_GROUP_SIZE = 4
+
+
+def _replay_group_size(executor: Executor, n_scenarios: int) -> int:
+    """Scenarios per batched replay task on *executor*."""
+    if (
+        isinstance(executor, SerialExecutor)
+        and executor.resilience.is_noop
+        and executor.checkpoint is None
+    ):
+        return max(1, n_scenarios)
+    return _REPLAY_GROUP_SIZE
 
 
 @dataclass(frozen=True)

@@ -526,7 +526,9 @@ def solve_colocation_many(
     With ``cached=True`` the shared solve memo is consulted per
     scenario: hits are returned directly, misses are solved as one
     batch (deduplicated within the batch) and written back, so mixing
-    batched and scalar callers keeps a single coherent cache.
+    batched and scalar callers keeps a single coherent cache.  Its
+    hit/miss counts match the scalar path's call for call: a repeat of
+    a scenario pending in the same batch counts as a hit.
 
     ``memo`` accepts a :class:`~repro.perfmodel.memo.SolveMemo`, a memo
     spec string (``"memory"``/``"store:<path>"``), or ``None``/``"off"``.
@@ -556,8 +558,10 @@ def solve_colocation_many(
     results: list[ColocationPerformance | None] = [None] * len(scenarios)
     pending: dict[tuple, list[int]] = {}
     miss_scenarios: list[tuple[RunningInstance, ...]] = []
-    for i, instances in enumerate(scenarios):
-        key = _SolveCache.make_key(machine, tuple(instances))
+    machine_key = _SolveCache.machine_key(machine)
+    for i, raw in enumerate(scenarios):
+        instances = tuple(raw)
+        key = (machine_key, instances)
         hit = _SOLVE_CACHE.lookup(key)
         if hit is not None:
             results[i] = hit
@@ -565,9 +569,10 @@ def solve_colocation_many(
         rows = pending.get(key)
         if rows is None:
             pending[key] = [i]
-            miss_scenarios.append(tuple(instances))
+            miss_scenarios.append(instances)
         else:
             rows.append(i)
+            _SOLVE_CACHE.count_pending_hit()
     if miss_scenarios:
         solved = solve_colocation_batch(machine, miss_scenarios)
         for (key, rows), solution in zip(pending.items(), solved):

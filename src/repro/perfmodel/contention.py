@@ -315,14 +315,18 @@ class _SolveCache:
         self.misses = 0
 
     @staticmethod
-    def make_key(
-        machine: MachinePerf, instances: tuple[RunningInstance, ...]
-    ) -> tuple:
-        machine_key = tuple(
+    def machine_key(machine: MachinePerf) -> tuple:
+        """The machine half of a key, reusable across one machine's rows."""
+        return tuple(
             (field.name, _canonical_machine_value(getattr(machine, field.name)))
             for field in dataclasses.fields(machine)
         )
-        return (machine_key, instances)
+
+    @staticmethod
+    def make_key(
+        machine: MachinePerf, instances: tuple[RunningInstance, ...]
+    ) -> tuple:
+        return (_SolveCache.machine_key(machine), instances)
 
     def lookup(self, key: tuple) -> ColocationPerformance | None:
         entry = self._entries.get(key)
@@ -332,6 +336,15 @@ class _SolveCache:
         self._entries.move_to_end(key)
         self.hits += 1
         return entry
+
+    def count_pending_hit(self) -> None:
+        """Turn the last miss into a hit.
+
+        A solve pending in the same batch answers that lookup, as the
+        scalar path would find the solve cached.
+        """
+        self.misses -= 1
+        self.hits += 1
 
     def store(self, key: tuple, value: ColocationPerformance) -> None:
         self._entries[key] = value

@@ -178,15 +178,16 @@ def test_batched_many_partitions_hits_and_misses():
         machine, scenarios, solver="batched", cached=True
     )
     info = solve_colocation_cached.cache_info()
-    # Three lookups: all miss, but the duplicate dedups to 2 solves.
-    assert info.misses == 3
+    # Three lookups, two solves: the in-batch duplicate is a hit on the
+    # pending solve, as the scalar path would find it cached.
+    assert (info.hits, info.misses) == (1, 2)
     assert info.currsize == 2
     assert first[0] is first[2]
     second = solve_colocation_many(
         machine, scenarios, solver="batched", cached=True
     )
     info = solve_colocation_cached.cache_info()
-    assert info.hits == 3
+    assert (info.hits, info.misses) == (4, 2)
     for a, b in zip(first, second):
         assert a is b
 
@@ -200,3 +201,25 @@ def test_scalar_and_batched_callers_share_one_cache():
     )
     assert batched is scalar
     assert solve_colocation_cached.cache_info().hits == 1
+
+
+def test_batched_and_scalar_count_repeats_alike():
+    machine = MachinePerf()
+    distinct = [
+        _instances(("DA", 1.0), ("mcf", 0.8)),
+        _instances(("WSV", 0.6)),
+        _instances(("GA", 0.9), ("omnetpp", 1.0)),
+        _instances(("IA", 1.0), ("MS", 0.7), ("DS", 0.85)),
+        _instances(("WSC", 0.7), ("libquantum", 1.0)),
+    ]
+    scenarios = [list(s) for s in distinct + [distinct[0], distinct[3]]]
+    infos = {}
+    for solver in ("scalar", "batched"):
+        solve_colocation_cached.cache_clear()
+        solved = solve_colocation_many(
+            machine, scenarios, solver=solver, cached=True
+        )
+        assert solved[5] is solved[0] and solved[6] is solved[3]
+        infos[solver] = solve_colocation_cached.cache_info()
+    assert (infos["scalar"].hits, infos["scalar"].misses) == (2, 5)
+    assert infos["batched"] == infos["scalar"]
