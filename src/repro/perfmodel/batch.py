@@ -592,6 +592,8 @@ def _solve_many_memoised(
 
     Mirrors the ``cached=True`` pending-dict shape, but keyed on the
     content digest so hits carry across batches, processes, and runs.
+    A repeat of a key pending in the same batch counts as a hit, as a
+    one-at-a-time caller would find it solved.
     Misses solved here are recorded and flushed at the end of the call
     — one segment append per batch, which keeps concurrent writers to
     coarse atomic appends rather than per-solve churn.
@@ -602,16 +604,17 @@ def _solve_many_memoised(
     for i, raw in enumerate(scenarios):
         instances = tuple(raw)
         key = memo.key_for(machine, instances)
+        rows = pending.get(key)
+        if rows is not None:
+            rows.append(i)
+            memo.count_pending_hit()
+            continue
         hit = memo.lookup(key, machine, instances)
         if hit is not None:
             results[i] = hit
             continue
-        rows = pending.get(key)
-        if rows is None:
-            pending[key] = [i]
-            miss_scenarios.append(instances)
-        else:
-            rows.append(i)
+        pending[key] = [i]
+        miss_scenarios.append(instances)
     if miss_scenarios:
         if mode == "scalar":
             solved = [

@@ -425,6 +425,15 @@ class SolveMemo:
         _inc("solve_memo_misses_total")
         return None
 
+    def count_pending_hit(self) -> None:
+        """Count a repeat of a key pending in the caller's batch as a hit.
+
+        The batch solves that key once and answers the repeat from the
+        same solution, as a one-at-a-time caller would find it memoised.
+        """
+        self._memory.hits += 1
+        _inc("solve_memo_hits_total")
+
     def record(self, key: str, solution: ColocationPerformance) -> None:
         """Admit one solved scenario into both tiers."""
         self._memory.store(key, solution)

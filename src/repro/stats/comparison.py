@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import comb
 
 from .kmeans import KMeans
 from .validation import as_matrix, check_labels, check_random_state
@@ -46,10 +45,10 @@ def adjusted_rand_index(labels_a, labels_b) -> float:
     table = np.zeros((a_ids.size, b_ids.size), dtype=np.int64)
     np.add.at(table, (a_inv, b_inv), 1)
 
-    sum_comb_cells = comb(table, 2).sum()
-    sum_comb_a = comb(table.sum(axis=1), 2).sum()
-    sum_comb_b = comb(table.sum(axis=0), 2).sum()
-    total_pairs = comb(n, 2)
+    sum_comb_cells = _pairs(table).sum()
+    sum_comb_a = _pairs(table.sum(axis=1)).sum()
+    sum_comb_b = _pairs(table.sum(axis=0)).sum()
+    total_pairs = _pairs(n)
 
     expected = sum_comb_a * sum_comb_b / total_pairs
     maximum = 0.5 * (sum_comb_a + sum_comb_b)
@@ -57,6 +56,13 @@ def adjusted_rand_index(labels_a, labels_b) -> float:
         # Degenerate: both partitions trivial (all-one-cluster etc.).
         return 1.0 if sum_comb_cells == maximum else 0.0
     return float((sum_comb_cells - expected) / (maximum - expected))
+
+
+def _pairs(counts):
+    """``counts choose 2`` in float64: exact while ``counts * (counts - 1)``
+    stays below 2**53, i.e. for any count up to ~9.5e7 samples."""
+    x = np.asarray(counts, dtype=np.float64)
+    return x * (x - 1.0) / 2.0
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -260,10 +261,8 @@ def expected_max_error(
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must be in (0, 1)")
 
-    from scipy.stats import norm
-
     sigma = values.std(ddof=1)
     fpc = np.sqrt((n_pop - sample_size) / max(n_pop - 1, 1))
     stderr = sigma / np.sqrt(sample_size) * fpc
-    z = norm.ppf(0.5 + confidence / 2.0)
+    z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
     return float(z * stderr)

@@ -30,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import MetricsRegistry, set_metrics
 from repro.perfmodel import MachinePerf, RunningInstance
 from repro.perfmodel.batch import solve_colocation_many
 from repro.perfmodel.contention import solve_colocation
@@ -200,6 +201,37 @@ def test_in_batch_duplicates_share_one_solve(tmp_path):
         MachinePerf(), population, memo=memo
     )
     assert solutions[0] is solutions[4]
+
+
+@pytest.mark.parametrize("solver", ["scalar", "batched"])
+def test_in_batch_repeats_count_as_memo_hits(solver):
+    distinct = build(
+        [
+            [("DA", 1.0), ("mcf", 0.8)],
+            [("WSV", 0.6)],
+            [("GA", 0.9), ("omnetpp", 1.0)],
+            [("IA", 1.0), ("MS", 0.7), ("DS", 0.85)],
+            [("WSC", 0.7), ("libquantum", 1.0)],
+        ]
+    )
+    scenarios = distinct + [distinct[0], distinct[3]]
+    memo = SolveMemo()
+    registry = MetricsRegistry()
+    previous = set_metrics(registry)
+    try:
+        solved = solve_colocation_many(
+            MachinePerf(), scenarios, solver=solver, memo=memo
+        )
+    finally:
+        set_metrics(previous)
+    assert solved[5] is solved[0] and solved[6] is solved[3]
+    counted = (
+        registry.counter("solve_memo_hits_total"),
+        registry.counter("solve_memo_misses_total"),
+    )
+    assert counted == (2, 5)
+    stats = memo.stats()
+    assert (stats["memory_hits"], stats["memory_misses"]) == (2, 5)
 
 
 # ----------------------------------------------------------------------
