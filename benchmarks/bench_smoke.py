@@ -49,8 +49,10 @@ accounting path, and the delta is recorded as
 ``resilience_overhead_pct`` — same < 2% budget.
 
 The batched contention solver is benchmarked head-to-head against the
-scalar reference: every simulated scenario is solved through both paths
-(best-of-two each), the solutions must be bit-identical, and the ratio
+scalar test oracle (``tests/perfmodel/scalar_oracle.py``, the
+per-scenario fixed point the library shipped before it kept only the
+batch): every simulated scenario is solved through both (best-of-two
+each), the solutions must be bit-identical, and the ratio
 is recorded as ``batch_solver_speedup_x`` (acceptance bar >= 5x)
 alongside per-batch-size throughput in ``batch_throughput_scn_s``.
 
@@ -77,6 +79,7 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import sys
 import time
 
 import numpy as np
@@ -95,6 +98,8 @@ from repro.api import (
 RESULTS_PATH = (
     pathlib.Path(__file__).parent / "results" / "bench_smoke.jsonl"
 )
+#: Repository root, for the scalar solver oracle under ``tests/``.
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: Observability overhead budget (tracing / monitor / ledger), percent.
 OVERHEAD_BUDGET_PCT = 2.0
@@ -276,12 +281,16 @@ def main(argv: list[str] | None = None) -> int:
     identical = bool(np.array_equal(serial_estimates, parallel_estimates))
     print(f"bit-identical estimates: {identical}")
 
-    # Batched contention solver vs the scalar reference: solve every
-    # simulated scenario on the baseline machine through both paths,
-    # best-of-two, and verify the solutions are bit-identical (frozen
+    # Batched contention solver vs the scalar test oracle: solve every
+    # simulated scenario on the baseline machine through both, best-of-
+    # two, and verify the solutions are bit-identical (frozen
     # dataclasses compare field-by-field).  The acceptance bar for the
     # vectorised path is >= 5x on this population.
-    from repro.api import BASELINE, solve_colocation, solve_colocation_batch
+    from repro.api import BASELINE, solve_colocation_batch
+
+    if str(REPO_ROOT) not in sys.path:
+        sys.path.insert(0, str(REPO_ROOT))
+    from tests.perfmodel.scalar_oracle import solve_colocation
 
     solver_machine = BASELINE(dataset.shape.perf)
     population = [list(s.instances) for s in dataset.scenarios]

@@ -14,7 +14,7 @@ def pytest_addoption(parser):
         default=False,
         help=(
             "Regenerate committed golden fixtures (tests/perfmodel/golden/) "
-            "from the scalar reference solver instead of asserting against "
+            "from the scalar test oracle instead of asserting against "
             "them."
         ),
     )

@@ -40,9 +40,9 @@ The surface groups into:
   sharded columnar scenario store for out-of-core pipelines
   (`ScenarioSource`, `ShardedScenarioStore`, `StoreWriter`,
   `open_store`, `write_store`, `compact_store`; see docs/store.md);
-* **perfmodel** — the contention solver's batched path
-  (`ScenarioBatch`, `solve_colocation`, `solve_colocation_batch`,
-  `solve_colocation_many`, `SOLVER_MODES`) and the content-addressed
+* **perfmodel** — the batched contention solver (`ScenarioBatch`,
+  `solve_colocation`, `solve_colocation_batch`,
+  `solve_colocation_many`) and the content-addressed
   solve memo (`SolveMemo`, `resolve_memo`, `MEMO_MODES`; see
   docs/perfmodel.md).
 """
@@ -153,7 +153,6 @@ from .runtime import (
 )
 from .perfmodel import (
     MEMO_MODES,
-    SOLVER_MODES,
     ColocationPerformance,
     MachinePerf,
     RunningInstance,
@@ -270,12 +269,11 @@ __all__ = [
     "open_store",
     "write_store",
     "compact_store",
-    # perfmodel / batched solver
+    # perfmodel
     "MachinePerf",
     "RunningInstance",
     "ColocationPerformance",
     "ScenarioBatch",
-    "SOLVER_MODES",
     "MEMO_MODES",
     "SolveMemo",
     "resolve_memo",

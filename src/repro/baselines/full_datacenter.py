@@ -66,7 +66,6 @@ def evaluate_full_datacenter(
     dataset: ScenarioSource,
     feature: Feature,
     *,
-    solver: str = "auto",
     memo=None,
 ) -> DatacenterTruth:
     """Evaluate *feature* on every scenario of *dataset*.
@@ -75,9 +74,8 @@ def evaluate_full_datacenter(
     batch-by-batch, so computing the truth over a sharded store keeps
     peak memory at shard size.  Each source batch's HP scenarios are
     solved as one contention batch under both machine configurations;
-    *solver* selects the fixed-point path (bit-identical either way),
-    and *memo* optionally reuses already-memoised solves (a repeat
-    feature sweep over the same fleet skips straight to aggregation).
+    *memo* optionally reuses already-memoised solves (a repeat feature
+    sweep over the same fleet skips straight to aggregation).
     """
     baseline_machine = BASELINE(dataset.shape.perf)
     feature_machine = feature(dataset.shape.perf)
@@ -98,13 +96,12 @@ def evaluate_full_datacenter(
             continue
         scenarios = [scenario for _, scenario in eligible]
         bases = scenario_performance_many(
-            baseline_machine, scenarios, solver=solver, memo=memo
+            baseline_machine, scenarios, memo=memo
         )
         enableds = scenario_performance_many(
             feature_machine,
             scenarios,
             normalize_machine=baseline_machine,
-            solver=solver,
             memo=memo,
         )
         for (index, scenario), base, enabled in zip(eligible, bases, enableds):
@@ -200,7 +197,6 @@ def per_job_scenario_reductions(
     feature: Feature,
     job_name: str,
     *,
-    solver: str = "auto",
     memo=None,
 ) -> JobScenarioReductions:
     """Evaluate *feature*'s impact on *job_name* in every hosting scenario.
@@ -227,13 +223,12 @@ def per_job_scenario_reductions(
             continue
         scenarios = [scenario for _, scenario, _ in eligible]
         bases = scenario_performance_many(
-            baseline_machine, scenarios, solver=solver, memo=memo
+            baseline_machine, scenarios, memo=memo
         )
         enableds = scenario_performance_many(
             feature_machine,
             scenarios,
             normalize_machine=baseline_machine,
-            solver=solver,
             memo=memo,
         )
         for (index, scenario, count), base, enabled in zip(

@@ -226,13 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fit.add_argument("--clusters", type=int, default=18)
     fit.add_argument(
-        "--solver",
-        choices=("scalar", "batched", "auto"),
-        default="auto",
-        help="contention-solver path (bit-identical; scalar is the "
-        "reference, batched vectorises scenario batches)",
-    )
-    fit.add_argument(
         "--memo",
         default="off",
         metavar="off|memory|store:<path>",
@@ -252,12 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--feature", choices=sorted(_FEATURES), required=True
     )
     evaluate.add_argument("--job", help="per-job estimate for this HP job")
-    evaluate.add_argument(
-        "--solver",
-        choices=("scalar", "batched", "auto"),
-        default=None,
-        help="override the model's contention-solver path for replays",
-    )
     evaluate.add_argument(
         "--memo",
         default=None,
@@ -614,7 +601,6 @@ def _cmd_fit(args) -> int:
     dataset = load_dataset(args.dataset)
     config = FlareConfig(
         analyzer=AnalyzerConfig(n_clusters=args.clusters),
-        solver=args.solver,
         memo=args.memo,
     )
     runtime = _resolve_runtime(args, ("fit", args.dataset, args.clusters))
@@ -637,8 +623,6 @@ def _cmd_fit(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     flare = load_model(args.model)
-    if args.solver is not None:
-        flare.replayer.solver = args.solver
     if args.memo is not None:
         from .perfmodel.memo import validate_memo_spec
 

@@ -103,7 +103,6 @@ def scenario_performance_many(
     scenarios: Sequence[Scenario],
     *,
     normalize_machine: MachinePerf | None = None,
-    solver: str = "auto",
     memo=None,
 ) -> tuple[ScenarioPerformance, ...]:
     """Normalised HP performance of many scenarios on one machine.
@@ -111,19 +110,17 @@ def scenario_performance_many(
     The batched equivalent of calling :func:`scenario_performance` per
     scenario, and bit-identical to doing so: the contention fixed point
     runs through :func:`repro.perfmodel.batch.solve_colocation_many`
-    (respecting the shared solve memo — hits are reused, misses solved
+    (respecting the shared solve cache — hits are reused, misses solved
     as one batch), and the inherent-MIPS normalisers go through the
-    same per-signature cache as the scalar path.  *solver* selects the
-    fixed-point implementation (``"scalar"``, ``"batched"``, or
-    ``"auto"``); *memo* optionally routes solves through a persistent
-    content-addressed :class:`~repro.perfmodel.memo.SolveMemo` so hits
-    survive across batches, processes, and runs.
+    same per-signature cache.  *memo* optionally routes solves through
+    a persistent content-addressed
+    :class:`~repro.perfmodel.memo.SolveMemo` so hits survive across
+    batches, processes, and runs.
     """
     norm_machine = normalize_machine if normalize_machine is not None else machine
     solutions = solve_colocation_many(
         machine,
         [scenario.instances for scenario in scenarios],
-        solver=solver,
         cached=True,
         memo=memo,
     )

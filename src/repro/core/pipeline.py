@@ -68,29 +68,23 @@ class FlareConfig:
     per_job_metrics:
         Jobs to add per-job presence metrics for (§5.3's accuracy-vs-
         dimensionality trade-off; off by default as the paper recommends).
-    solver:
-        Contention-solver path for the Profiler and Replayer:
-        ``"scalar"`` (per-scenario reference), ``"batched"``
-        (vectorised over scenario batches), or ``"auto"`` (batched
-        whenever more than one scenario is solved together).  The
-        paths are bit-identical — see ``docs/perfmodel.md``.
     memo:
         Content-addressed solve memo spec for the Profiler and
         Replayer: ``"off"`` (default), ``"memory"`` (in-process LRU
         keyed by canonical content digest), or ``"store:<path>"``
         (persistent digest-verified segment directory shared across
-        processes and runs).  Like ``solver=``, memoisation cannot
-        change results — hits are bit-identical to fresh solves — so
-        it is persisted with saved models as pure speed configuration.
+        processes and runs).  Memoisation cannot change results —
+        hits are bit-identical to fresh solves — so it is persisted
+        with saved models as pure speed configuration.
         See the memo section of ``docs/perfmodel.md``.
     runtime:
         Default :class:`~repro.runtime.RuntimeConfig` for this model's
         fan-out stages (fitting, evaluation).  ``None`` keeps every
         call serial-inline unless a ``runtime=`` argument is passed
         explicitly; a per-call ``runtime=`` always wins over this
-        default.  Persisted with saved models (like ``solver=``), and
-        — like every runtime knob — unable to change results, only
-        speed and failure behaviour.
+        default.  Persisted with saved models (like ``memo``), and —
+        like every runtime knob — unable to change results, only speed
+        and failure behaviour.
     """
 
     refinement_threshold: float = 0.98
@@ -101,15 +95,12 @@ class FlareConfig:
     temporal_samples: int = 0
     temporal_jitter: float = 0.15
     per_job_metrics: tuple[str, ...] = ()
-    solver: str = "auto"
     memo: str = "off"
     runtime: RuntimeConfig | None = None
 
     def __post_init__(self) -> None:
-        from ..perfmodel.batch import resolve_solver_mode
         from ..perfmodel.memo import validate_memo_spec
 
-        resolve_solver_mode(self.solver, 0)  # validate eagerly
         validate_memo_spec(self.memo)
         if self.runtime is not None and not isinstance(
             self.runtime, RuntimeConfig
@@ -134,7 +125,6 @@ class FlareConfig:
             temporal_samples=self.temporal_samples,
             temporal_jitter=self.temporal_jitter,
             per_job_metrics=self.per_job_metrics,
-            solver=self.solver,
             memo=self.memo if self.memo != "off" else None,
         )
 
@@ -240,7 +230,6 @@ class Flare:
             self._replayer = Replayer(
                 dataset.shape,
                 catalogue=_catalogue_from(dataset),
-                solver=self.config.solver,
                 memo=self.config.memo if self.config.memo != "off" else None,
             )
             if fit_span is not None:
@@ -292,7 +281,6 @@ class Flare:
             self._replayer = Replayer(
                 source.shape,
                 catalogue=_catalogue_from(source),
-                solver=self.config.solver,
                 memo=self.config.memo if self.config.memo != "off" else None,
             )
             if fit_span is not None:
@@ -473,7 +461,7 @@ class Flare:
 
         if get_ledger() is None:
             return
-        config: dict = {"solver": self.config.solver}
+        config: dict = {}
         if self.config.memo != "off":
             config["memo"] = self.config.memo
         runtime_config = getattr(runtime, "config", runtime)

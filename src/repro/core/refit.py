@@ -986,7 +986,6 @@ def _assemble_flare(
     flare._replayer = Replayer(
         source.shape,
         catalogue=_catalogue_from(source),
-        solver=config.solver,
         memo=config.memo if config.memo != "off" else None,
     )
     return flare

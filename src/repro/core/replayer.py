@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from ..cluster.features import BASELINE, Feature
 from ..cluster.machine import MachineShape
 from ..cluster.scenario import Scenario
-from ..perfmodel.batch import resolve_solver_mode
 from ..perfmodel.contention import RunningInstance
 from ..perfmodel.memo import validate_memo_spec
 from ..perfmodel.signatures import JobSignature
@@ -93,11 +92,6 @@ class Replayer:
         to evaluate features on normalised tail latency instead of
         normalised MIPS — the paper's "many alternatives can be
         utilized" hook.
-    solver:
-        Contention-solver path for batched replays: ``"scalar"``,
-        ``"batched"``, or ``"auto"`` (batched whenever more than one
-        scenario is replayed together).  Only the default MIPS metric
-        batches; a custom *metric* always evaluates per scenario.
     memo:
         Optional content-addressed solve memo: ``"off"``/``None``
         (default), ``"memory"``, ``"store:<path>"``, or a live
@@ -107,8 +101,8 @@ class Replayer:
         Spec strings travel to executor workers as-is; each worker
         resolves its own per-process instance, and store-backed specs
         make those workers concurrent writers of one shared memo
-        directory.  Only the batched replay path memoises — a custom
-        *metric* (and the scalar fallback) evaluates unmemoised.
+        directory.  Only the default MIPS metric memoises — a custom
+        *metric* evaluates per scenario, unmemoised.
     """
 
     def __init__(
@@ -117,16 +111,13 @@ class Replayer:
         *,
         catalogue: dict[str, "JobSignature"] | None = None,
         metric=None,
-        solver: str = "auto",
         memo=None,
     ) -> None:
         self.shape = shape
         self._catalogue = catalogue
         self._metric = metric if metric is not None else scenario_performance
-        resolve_solver_mode(solver, 0)  # validate eagerly
         if isinstance(memo, str):
             validate_memo_spec(memo)  # validate eagerly, resolve lazily
-        self.solver = solver
         self.memo = memo
 
     def _resolve_job(self, name: str):
@@ -164,7 +155,13 @@ class Replayer:
     def replay(
         self, scenario: Scenario, feature: Feature
     ) -> ReplayMeasurement:
-        """Measure *feature*'s impact on *scenario* on the testbed."""
+        """Measure *feature*'s impact on *scenario* on the testbed.
+
+        The default MIPS metric replays through :meth:`replay_batch` as
+        a one-scenario batch, so ``memo`` applies here too.
+        """
+        if self._metric is scenario_performance:
+            return self.replay_batch((scenario,), feature)[0]
         from ..obs import inc
 
         inc("replays_total")
@@ -187,11 +184,11 @@ class Replayer:
     ) -> tuple[ReplayMeasurement, ...]:
         """Replay several scenarios as one contention-solver batch.
 
-        Bit-identical to :meth:`replay` per scenario (the batched solver
-        mirrors the scalar fixed point exactly), but the baseline and
-        feature machines each solve the whole list in one vectorised
-        pass.  Custom metrics fall back to per-scenario evaluation —
-        only the default MIPS metric understands batches.
+        The baseline and feature machines each solve the whole list in
+        one vectorised pass; a scenario's measurement does not depend
+        on what else is in the batch.  Custom metrics fall back to
+        per-scenario evaluation — only the default MIPS metric
+        understands batches.
         """
         if self._metric is not scenario_performance:
             return tuple(
@@ -206,13 +203,12 @@ class Replayer:
         baseline_machine = BASELINE(self.shape.perf)
         feature_machine = feature(self.shape.perf)
         baselines = scenario_performance_many(
-            baseline_machine, replay_scenarios, solver=self.solver, memo=self.memo
+            baseline_machine, replay_scenarios, memo=self.memo
         )
         enabled = scenario_performance_many(
             feature_machine,
             replay_scenarios,
             normalize_machine=baseline_machine,
-            solver=self.solver,
             memo=self.memo,
         )
         return tuple(
@@ -249,7 +245,7 @@ class Replayer:
         measurements; the estimation layer drops them and renormalises
         the surviving group weights.
 
-        With the batched solver the executor dispatches scenario
+        With the default MIPS metric the executor dispatches scenario
         *groups*, one task each, and every group is solved as one
         vectorised batch by :meth:`replay_batch`.  A plain serial
         executor (no failure policy, no checkpoint journal) gets a
@@ -258,13 +254,13 @@ class Replayer:
         groups of ``_REPLAY_GROUP_SIZE``, which keeps worker balance,
         failure granularity and per-group journal entries; a skipped
         group expands back into one ``TaskFailure`` per scenario so
-        result positions are unchanged.  The batched solver treats every
-        row on its own, so the grouping never changes a result.
+        result positions are unchanged.  The solver treats every row on
+        its own, so the grouping never changes a result.  A custom
+        metric replays one scenario per task.
         """
         from ..obs import span
 
-        mode = resolve_solver_mode(self.solver, len(scenarios))
-        if mode == "batched" and self._metric is scenario_performance:
+        if self._metric is scenario_performance:
             pool = resolve_executor(executor)
             size = _replay_group_size(pool, len(scenarios))
             groups = [
@@ -277,7 +273,6 @@ class Replayer:
                 feature=feature.name,
                 n_scenarios=len(scenarios),
                 n_groups=len(groups),
-                solver="batched",
             ):
                 grouped = pool.map(task, groups, chunk_size=1, stage="replays")
             flat: list[ReplayMeasurement | TaskFailure] = []
@@ -303,8 +298,8 @@ class Replayer:
 
 # Scenarios per batched replay task under a pool, a failure policy or a
 # checkpoint journal (a plain serial executor replays one group of all).
-# It matches the scalar dispatch path's chunk size, so worker balance
-# and skip granularity are those of that path.
+# It matches the custom-metric path's chunk size, so worker balance and
+# skip granularity are the same on both paths.
 _REPLAY_GROUP_SIZE = 4
 
 

@@ -267,7 +267,6 @@ def config_to_dict(config: FlareConfig) -> dict[str, Any]:
         "temporal_samples": config.temporal_samples,
         "temporal_jitter": config.temporal_jitter,
         "per_job_metrics": list(config.per_job_metrics),
-        "solver": config.solver,
         "memo": config.memo,
         "runtime": (
             None if config.runtime is None else config.runtime.to_dict()
@@ -286,7 +285,13 @@ def config_to_dict(config: FlareConfig) -> dict[str, Any]:
 
 
 def config_from_dict(data: dict[str, Any]) -> FlareConfig:
-    """Rebuild a pipeline configuration."""
+    """Rebuild a pipeline configuration.
+
+    Unknown keys are ignored: models saved before the contention solver
+    became a single implementation carry a ``"solver"`` field
+    (``"scalar"``, ``"batched"`` or ``"auto"``), which cannot change a
+    result and is dropped on load.
+    """
     raw = data["analyzer"]
     analyzer = AnalyzerConfig(
         variance_target=raw["variance_target"],
@@ -307,7 +312,6 @@ def config_from_dict(data: dict[str, Any]) -> FlareConfig:
         temporal_samples=data.get("temporal_samples", 0),
         temporal_jitter=data.get("temporal_jitter", 0.15),
         per_job_metrics=tuple(data.get("per_job_metrics", ())),
-        solver=data.get("solver", "auto"),
         memo=data.get("memo", "off"),
         runtime=(
             None

@@ -6,13 +6,7 @@ contention solver that turns "these containers share this machine" into
 per-job MIPS, CPI stacks and resource counters.
 """
 
-from .batch import (
-    SOLVER_MODES,
-    ScenarioBatch,
-    resolve_solver_mode,
-    solve_colocation_batch,
-    solve_colocation_many,
-)
+from .batch import ScenarioBatch, solve_colocation_batch, solve_colocation_many
 from .contention import (
     ColocationPerformance,
     InstancePerformance,
@@ -49,8 +43,6 @@ __all__ = [
     "solve_colocation_cached",
     "inherent_performance",
     "ScenarioBatch",
-    "SOLVER_MODES",
-    "resolve_solver_mode",
     "solve_colocation_batch",
     "solve_colocation_many",
     "MEMO_MODES",

@@ -1,10 +1,9 @@
-"""Batched structure-of-arrays contention solving.
+"""Batched structure-of-arrays contention solving: the one solver.
 
-:func:`repro.perfmodel.contention.solve_colocation` iterates one
-scenario at a time with per-instance Python work inside the fixed-point
-loop.  Every hot caller — the Profiler, the Replayer, the
-full-datacenter baseline — holds *many* scenarios that all want solving
-under the same machine, so this module batches them:
+Every caller — the Profiler, the Replayer, the full-datacenter
+baseline, and one-scenario calls through
+:func:`repro.perfmodel.contention.solve_colocation` — solves through
+this module:
 
 * :class:`ScenarioBatch` packs a scenario population into a
   structure-of-arrays layout: a signature table deduplicated by job
@@ -12,23 +11,23 @@ under the same machine, so this module batches them:
   name to one signature), per-scenario instance index arrays padded
   into dense ``(n_scenarios, max_instances)`` matrices, and a validity
   mask marking real lanes.
-* :func:`solve_colocation_batch` runs the same damped fixed point as
-  the scalar solver — LLC shares, miss ratios, bandwidth pressure, CPI
-  stacks, instruction rates — as whole-matrix numpy ops over every
-  scenario simultaneously, with an active-scenario convergence mask so
+* :func:`solve_colocation_batch` runs the damped fixed point — LLC
+  shares, miss ratios, bandwidth pressure, CPI stacks, instruction
+  rates — as whole-matrix numpy ops over every scenario
+  simultaneously, with an active-scenario convergence mask so
   converged rows freeze while stragglers iterate.
 
-**Bit-identity contract.**  The batched solver reproduces the scalar
-solver's outputs bit for bit, not merely approximately.  That holds
-because every arithmetic step mirrors the scalar expression's exact
-association order using only elementwise IEEE-754 ops (``+ - * /
-minimum``), the single transcendental (the MRC ``pow``) goes through
-the shared :func:`repro.perfmodel.mrc.hyperbolic_miss_ratio` helper on
-ndarrays in both paths, and per-scenario reductions sum contiguous row
-slices of exactly the scenario's lane count (never padded lanes, whose
-different lengths could change numpy's pairwise-summation tree).  The
-differential suite in ``tests/perfmodel/test_batch_equivalence.py``
-enforces the contract on hypothesis-generated populations and golden
+**Row independence.**  A scenario's result does not depend on which
+batch it is solved in, bit for bit.  Every arithmetic step is
+elementwise IEEE-754 (``+ - * / minimum``), the single transcendental
+(the MRC ``pow``) goes through
+:func:`repro.perfmodel.mrc.hyperbolic_miss_ratio` on ndarrays, and
+per-scenario reductions sum contiguous row slices of exactly the
+scenario's lane count (never padded lanes, whose different lengths
+could change numpy's pairwise-summation tree).  The test suite keeps
+the historical per-scenario scalar fixed point as an oracle
+(``tests/perfmodel/scalar_oracle.py``) and checks this solver against
+it bit for bit on hypothesis-generated populations and golden
 fixtures.
 """
 
@@ -55,8 +54,6 @@ from .contention import (
     ColocationPerformance,
     InstancePerformance,
     RunningInstance,
-    solve_colocation,
-    solve_colocation_cached,
 )
 from .cpistack import CPIStack
 from .machine import MachinePerf
@@ -65,13 +62,9 @@ from .signatures import JobSignature
 
 __all__ = [
     "ScenarioBatch",
-    "SOLVER_MODES",
-    "resolve_solver_mode",
     "solve_colocation_batch",
     "solve_colocation_many",
 ]
-
-SOLVER_MODES = ("scalar", "batched", "auto")
 
 # Indices into ScenarioBatch.sig_params rows.
 _P_LLC_APKI = 0
@@ -86,22 +79,6 @@ _P_MRC_SHAPE = 8
 _P_MRC_FLOOR = 9
 _P_BUSY_BASE = 10
 _N_PARAMS = 11
-
-
-def resolve_solver_mode(solver: str, n_scenarios: int) -> str:
-    """Resolve a ``solver`` knob value to ``"scalar"`` or ``"batched"``.
-
-    ``"auto"`` picks the batched path whenever there is more than one
-    scenario to solve; a single scenario gains nothing from the batch
-    layout, so it stays on the scalar reference path.
-    """
-    if solver not in SOLVER_MODES:
-        raise ValueError(
-            f"unknown solver {solver!r}; expected one of {SOLVER_MODES}"
-        )
-    if solver == "auto":
-        return "batched" if n_scenarios > 1 else "scalar"
-    return solver
 
 
 @dataclass(eq=False)
@@ -260,8 +237,9 @@ def _row_sums(matrix: np.ndarray, counts: list[int]) -> np.ndarray:
     """Per-row sums over each row's first ``counts[i]`` lanes.
 
     Summing the contiguous prefix slice (rather than the whole padded
-    row) keeps numpy's pairwise-summation tree identical to the scalar
-    solver's fresh ``len == count`` arrays, preserving bit-identity.
+    row) keeps numpy's pairwise-summation tree that of a fresh
+    ``len == count`` array, so a row's sums do not depend on the
+    batch's padding width.
     """
     out = np.empty(len(counts))
     for i, count in enumerate(counts):
@@ -276,8 +254,8 @@ def solve_colocation_batch(
     """Solve every scenario in *batch* on *machine* simultaneously.
 
     Returns one :class:`ColocationPerformance` per scenario, in batch
-    order, bit-identical to calling the scalar
-    :func:`~repro.perfmodel.contention.solve_colocation` per scenario.
+    order.  Each row's result is bit-identical whatever else is in the
+    batch (see the module docstring).
     """
     if not isinstance(batch, ScenarioBatch):
         batch = ScenarioBatch.from_instances(batch)
@@ -322,8 +300,7 @@ def solve_colocation_batch(
     busy = params[_P_BUSY_BASE][sig_index] * loads
 
     # Frequency and core sharing depend only on the (fixed) total busy
-    # threads — one exact scalar computation per scenario, reusing the
-    # same Python-level helpers as the scalar path.
+    # threads — one exact Python-float computation per scenario.
     total_busy = _row_sums(busy, counts_list)
     freq = np.empty(len(nonempty))
     core_factor = np.empty(len(nonempty))
@@ -344,8 +321,9 @@ def solve_colocation_batch(
     def _stack_totals(sub, miss_ratio, mem_latency_col, freq_sub_col, cf_sub):
         """CPI-stack component matrices for the row subset *sub*.
 
-        Every expression mirrors ``contention._build_stack`` and
-        ``CPIStack.total`` association order exactly.
+        Every expression keeps the association order of
+        ``CPIStack.total``, so the returned ``total`` equals the total
+        of the :class:`CPIStack` built from the components.
         """
         branch = branch_mpki[sub] / 1000.0 * _BRANCH_PENALTY_CYCLES
         l2_stall = l2_apki[sub] / 1000.0 * _L2_BLOCKING * machine.l2_hit_cycles
@@ -517,41 +495,32 @@ def solve_colocation_many(
     machine: MachinePerf,
     scenarios: Sequence[Sequence[RunningInstance]],
     *,
-    solver: str = "auto",
     cached: bool = False,
     memo=None,
 ) -> list[ColocationPerformance]:
-    """Solve many scenarios through the selected solver path.
+    """Solve many scenarios as one batch, optionally through a cache.
 
     With ``cached=True`` the shared solve memo is consulted per
     scenario: hits are returned directly, misses are solved as one
-    batch (deduplicated within the batch) and written back, so mixing
-    batched and scalar callers keeps a single coherent cache.  Its
-    hit/miss counts match the scalar path's call for call: a repeat of
-    a scenario pending in the same batch counts as a hit.
+    batch (deduplicated within the batch) and written back, so every
+    caller of :func:`~repro.perfmodel.contention.solve_colocation_cached`
+    shares one coherent cache.  A repeat of a scenario pending in the
+    same batch counts as a hit, as a one-at-a-time caller would find
+    it cached.
 
     ``memo`` accepts a :class:`~repro.perfmodel.memo.SolveMemo`, a memo
     spec string (``"memory"``/``"store:<path>"``), or ``None``/``"off"``.
     When active it supersedes ``cached=``: lookups go through the
     content-addressed two-tier memo (so hits survive across processes
-    and runs), misses are solved through the selected solver path —
-    bit-identical either way — and recorded back into both tiers.
+    and runs), misses are solved as one batch and recorded back into
+    both tiers.
     """
-    mode = resolve_solver_mode(solver, len(scenarios))
     if memo is not None:
         from .memo import resolve_memo
 
         live = resolve_memo(memo)
         if live is not None:
-            return _solve_many_memoised(machine, scenarios, mode, live)
-    if mode == "scalar":
-        if cached:
-            return [
-                solve_colocation_cached(machine, tuple(instances))
-                for instances in scenarios
-            ]
-        return [solve_colocation(machine, instances) for instances in scenarios]
-
+            return _solve_many_memoised(machine, scenarios, live)
     if not cached:
         return solve_colocation_batch(machine, scenarios)
 
@@ -585,10 +554,9 @@ def solve_colocation_many(
 def _solve_many_memoised(
     machine: MachinePerf,
     scenarios: Sequence[Sequence[RunningInstance]],
-    mode: str,
     memo,
 ) -> list[ColocationPerformance]:
-    """Memo-first solve: hits from the memo, misses via ``mode``'s path.
+    """Memo-first solve: hits from the memo, misses as one batch.
 
     Mirrors the ``cached=True`` pending-dict shape, but keyed on the
     content digest so hits carry across batches, processes, and runs.
@@ -616,13 +584,7 @@ def _solve_many_memoised(
         pending[key] = [i]
         miss_scenarios.append(instances)
     if miss_scenarios:
-        if mode == "scalar":
-            solved = [
-                solve_colocation(machine, instances)
-                for instances in miss_scenarios
-            ]
-        else:
-            solved = solve_colocation_batch(machine, miss_scenarios)
+        solved = solve_colocation_batch(machine, miss_scenarios)
         for (key, rows), solution in zip(pending.items(), solved):
             memo.record(key, solution)
             for row in rows:

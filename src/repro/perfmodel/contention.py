@@ -1,4 +1,4 @@
-"""Fixed-point shared-resource contention solver.
+"""Shared-resource contention model: its types, constants and caches.
 
 Given a machine and the set of job instances co-located on it, this module
 computes every instance's steady-state performance under contention for:
@@ -16,9 +16,11 @@ computes every instance's steady-state performance under contention for:
   balance exactly as leading-loads DVFS models predict.
 
 The solver iterates cache shares → miss rates → bandwidth congestion →
-CPI → instruction rates to a damped fixed point.  Everything downstream of
-the simulator (Profiler counters, FLARE clustering, replay) consumes only
-its outputs.
+CPI → instruction rates to a damped fixed point.  That iteration lives in
+:func:`repro.perfmodel.batch.solve_colocation_batch`, the one solver;
+:func:`solve_colocation` is its one-scenario form.  Everything downstream
+of the simulator (Profiler counters, FLARE clustering, replay) consumes
+only its outputs.
 """
 
 from __future__ import annotations
@@ -29,11 +31,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .cpistack import CPIStack
 from .machine import MachinePerf
-from .mrc import hyperbolic_miss_ratio
 from .signatures import JobSignature, Priority
 
 __all__ = [
@@ -137,129 +136,15 @@ def solve_colocation(
     machine: MachinePerf,
     instances: list[RunningInstance] | tuple[RunningInstance, ...],
 ) -> ColocationPerformance:
-    """Solve the contention fixed point for *instances* on *machine*."""
-    if not instances:
-        return ColocationPerformance(
-            machine=machine,
-            instances=(),
-            cpu_utilization=0.0,
-            mem_bw_utilization=0.0,
-            mem_latency_ns=machine.mem_latency_ns,
-            converged=True,
-            iterations=0,
-        )
+    """Solve the contention fixed point for *instances* on *machine*.
 
-    n = len(instances)
-    busy = np.array([inst.busy_threads for inst in instances])
-    total_busy = float(busy.sum())
-    freq = machine.effective_frequency_ghz(total_busy)
-    core_factor = _core_throughput_factor(machine, total_busy)
+    A one-row :func:`~repro.perfmodel.batch.solve_colocation_batch`:
+    the batched fixed point is the only solver, so a single scenario
+    gets exactly the numbers it would get inside any larger batch.
+    """
+    from .batch import solve_colocation_batch  # batch imports this module
 
-    sigs = [inst.signature for inst in instances]
-    llc_apki = np.array([s.llc_apki for s in sigs])
-    write_fraction = np.array([s.write_fraction for s in sigs])
-    # MRC parameters as arrays so the miss ratio is evaluated through the
-    # shared vectorised helper — the batched solver evaluates the exact
-    # same expression on the exact same dtype, keeping the paths
-    # bit-identical (numpy array ``**`` != Python scalar ``**``).
-    mrc_half = np.array([s.mrc.half_capacity_mb for s in sigs])
-    mrc_shape = np.array([s.mrc.shape for s in sigs])
-    mrc_floor = np.array([s.mrc.floor for s in sigs])
-
-    # Initial guess: equal cache shares, unloaded memory latency.
-    inst_rate = np.full(n, 1e9)
-    mem_latency = machine.mem_latency_ns
-    shares = np.full(n, machine.llc_mb / n)
-    converged = False
-    iterations = 0
-
-    for iterations in range(1, _MAX_ITERATIONS + 1):
-        # --- LLC partitioning: proportional to access rate -------------
-        access_rate = inst_rate * llc_apki / 1000.0
-        total_access = access_rate.sum()
-        if total_access > 0.0:
-            target_shares = machine.llc_mb * access_rate / total_access
-        else:
-            target_shares = np.full(n, machine.llc_mb / n)
-        shares = _DAMPING * shares + (1.0 - _DAMPING) * target_shares
-
-        miss_ratio = hyperbolic_miss_ratio(shares, mrc_half, mrc_shape, mrc_floor)
-        mpki = llc_apki * miss_ratio
-
-        # --- DRAM bandwidth congestion ----------------------------------
-        bytes_per_instr = (
-            mpki / 1000.0 * _CACHE_LINE_BYTES * (1.0 + write_fraction)
-        )
-        traffic_gbps = inst_rate * bytes_per_instr / 1e9
-        util = min(float(traffic_gbps.sum()) / machine.mem_bw_gbps, _BW_UTIL_CAP)
-        mem_latency = machine.mem_latency_ns * (
-            1.0 + _BW_CONGESTION_GAIN * util * util / (1.0 - util)
-        )
-
-        # --- CPI stacks and instruction rates ---------------------------
-        new_rate = np.empty(n)
-        for i, sig in enumerate(sigs):
-            stack = _build_stack(
-                machine, sig, freq, miss_ratio[i], mem_latency, core_factor
-            )
-            new_rate[i] = busy[i] * freq * 1e9 / stack.total
-
-        if np.allclose(new_rate, inst_rate, rtol=_RELATIVE_TOLERANCE, atol=1.0):
-            inst_rate = new_rate
-            converged = True
-            break
-        inst_rate = _DAMPING * inst_rate + (1.0 - _DAMPING) * new_rate
-
-    # Final consistent pass with the converged rates.
-    access_rate = inst_rate * llc_apki / 1000.0
-    total_access = access_rate.sum()
-    if total_access > 0.0:
-        shares = machine.llc_mb * access_rate / total_access
-    miss_ratio = hyperbolic_miss_ratio(shares, mrc_half, mrc_shape, mrc_floor)
-    mpki = llc_apki * miss_ratio
-    bytes_per_instr = (
-        mpki / 1000.0 * _CACHE_LINE_BYTES * (1.0 + write_fraction)
-    )
-    traffic_gbps = inst_rate * bytes_per_instr / 1e9
-    raw_util = float(traffic_gbps.sum()) / machine.mem_bw_gbps
-    util = min(raw_util, _BW_UTIL_CAP)
-    mem_latency = machine.mem_latency_ns * (
-        1.0 + _BW_CONGESTION_GAIN * util * util / (1.0 - util)
-    )
-
-    results = []
-    for i, (inst, sig) in enumerate(zip(instances, sigs)):
-        stack = _build_stack(
-            machine, sig, freq, miss_ratio[i], mem_latency, core_factor
-        )
-        rate = busy[i] * freq * 1e9 / stack.total
-        results.append(
-            InstancePerformance(
-                job_name=sig.name,
-                priority=sig.priority,
-                mips=rate / 1e6,
-                ipc=1.0 / stack.total,
-                cpi_stack=stack,
-                busy_threads=float(busy[i]),
-                cache_share_mb=float(shares[i]),
-                llc_miss_ratio=float(miss_ratio[i]),
-                llc_mpki=float(mpki[i]),
-                dram_gbps=float(rate * bytes_per_instr[i] / 1e9),
-                network_gbps=float(rate * sig.network_bytes_per_instr * 8.0 / 1e9),
-                disk_mbps=float(rate * sig.disk_bytes_per_instr / 1e6),
-                frequency_ghz=freq,
-            )
-        )
-
-    return ColocationPerformance(
-        machine=machine,
-        instances=tuple(results),
-        cpu_utilization=min(total_busy / machine.hardware_threads, 1.0),
-        mem_bw_utilization=raw_util,
-        mem_latency_ns=mem_latency,
-        converged=converged,
-        iterations=iterations,
-    )
+    return solve_colocation_batch(machine, [instances])[0]
 
 
 class _CacheInfo(NamedTuple):
@@ -340,8 +225,8 @@ class _SolveCache:
     def count_pending_hit(self) -> None:
         """Turn the last miss into a hit.
 
-        A solve pending in the same batch answers that lookup, as the
-        scalar path would find the solve cached.
+        A solve pending in the same batch answers that lookup, as a
+        one-at-a-time caller would find the solve cached.
         """
         self.misses -= 1
         self.hits += 1
@@ -417,46 +302,3 @@ def _core_throughput_factor(machine: MachinePerf, total_busy: float) -> float:
     aggregate_speedup = machine.smt_speedup if machine.smt_enabled else 1.0
     aggregate = 1.0 + (aggregate_speedup - 1.0) * (threads_per_core - 1.0)
     return aggregate / threads_per_core
-
-
-def _build_stack(
-    machine: MachinePerf,
-    sig: JobSignature,
-    freq_ghz: float,
-    llc_miss_ratio: float,
-    mem_latency_ns: float,
-    core_factor: float,
-) -> CPIStack:
-    """Assemble the CPI stack for one instance at the current state."""
-    branch = sig.branch_mpki / 1000.0 * _BRANCH_PENALTY_CYCLES
-    l2_stall = sig.l2_apki / 1000.0 * _L2_BLOCKING * machine.l2_hit_cycles
-    llc_hits_pki = sig.llc_apki * (1.0 - llc_miss_ratio)
-    llc_hit_stall = (
-        llc_hits_pki / 1000.0 * _LLC_HIT_BLOCKING * machine.llc_hit_cycles
-    )
-    dram_stall = (
-        sig.llc_apki
-        * llc_miss_ratio
-        / 1000.0
-        * mem_latency_ns
-        * freq_ghz
-        * sig.mem_blocking_factor
-    )
-    # Core sharing penalises cycles that need the pipeline (issue slots,
-    # fetch bandwidth, on-core caches).  DRAM stall cycles overlap with the
-    # co-resident thread, so memory-bound jobs are naturally SMT-friendly.
-    core_side_cpi = (
-        sig.base_cpi + sig.frontend_cpi + branch + l2_stall + llc_hit_stall
-    )
-    smt_penalty = (
-        core_side_cpi * (1.0 / core_factor - 1.0) if core_factor < 1.0 else 0.0
-    )
-    return CPIStack(
-        base=sig.base_cpi,
-        frontend=sig.frontend_cpi,
-        branch=branch,
-        l2=l2_stall,
-        llc_hit=llc_hit_stall,
-        dram=dram_stall,
-        smt=smt_penalty,
-    )

@@ -1,6 +1,6 @@
 """Persistent content-addressed solve memo (two tiers).
 
-The batched solver (PR 5) dedups identical scenarios *within* one call;
+The batched solver dedups identical scenarios *within* one call;
 at fleet scale the same co-locations repeat *across* batches, shards,
 repeated ``evaluate`` runs and service-mode requests.  This module
 memoises the contention fixed point across all of them:
@@ -20,8 +20,8 @@ memoises the contention fixed point across all of them:
 
 Memoisation is only admissible because solves are bit-reproducible: a
 :func:`~repro.perfmodel.contention.solve_colocation` call is a pure
-deterministic function of ``(machine, instances)``, and the scalar and
-batched paths are bit-identical.  Every float round-trips the segment
+deterministic function of ``(machine, instances)`` whatever batch it
+is solved in.  Every float round-trips the segment
 encoding exactly (raw IEEE-754 doubles), so a memo hit returns the same
 bits a fresh solve would.  A corrupt or truncated segment fails its
 digest check and is dropped whole — a corrupt entry degrades to a miss,

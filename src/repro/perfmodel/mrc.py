@@ -21,11 +21,11 @@ def hyperbolic_miss_ratio(cache_mb, half_capacity_mb, shape, floor):
     """Vectorised hyperbolic MRC evaluation.
 
     The one place the miss-ratio formula is written down for array
-    inputs: both the scalar contention solver and the batched solver
-    (:mod:`repro.perfmodel.batch`) evaluate their miss ratios through
-    this function, so the two paths are bit-identical by construction —
-    ``pow`` is the only transcendental in the contention model, and
-    numpy's array ``**`` is not bit-identical to Python's scalar ``**``.
+    inputs: the contention solver (:mod:`repro.perfmodel.batch`) and
+    its scalar test oracle evaluate their miss ratios through this
+    function, so the two are bit-identical by construction — ``pow`` is
+    the only transcendental in the contention model, and numpy's array
+    ``**`` is not bit-identical to Python's scalar ``**``.
     All four arguments broadcast against each other.
     """
     reducible = 1.0 / (1.0 + cache_mb / half_capacity_mb) ** shape

@@ -5,7 +5,7 @@ Execution knobs accreted one keyword at a time — ``executor=``,
 ``checkpoint=`` — each threaded separately through the facade, the CLI
 and the experiment context.  :class:`RuntimeConfig` collapses them into
 a single value that travels as one argument, persists in saved models
-(like ``solver=``), and maps one-to-one onto CLI flags:
+(like ``memo=``), and maps one-to-one onto CLI flags:
 
 ==================  ======================  =====================
 legacy keyword      RuntimeConfig field     CLI flag

@@ -17,12 +17,11 @@ import numpy as np
 from ..cluster.features import BASELINE, Feature
 from ..cluster.scenario import Scenario, ScenarioDataset
 from ..cluster.source import ScenarioSource, resolve_source_argument
-from ..perfmodel.batch import resolve_solver_mode, solve_colocation_many
+from ..perfmodel.batch import solve_colocation_many
 from ..perfmodel.contention import (
     ColocationPerformance,
     InstancePerformance,
     RunningInstance,
-    solve_colocation,
 )
 from ..perfmodel.machine import MachinePerf
 from .database import Column, Database, Schema
@@ -175,18 +174,12 @@ class Profiler:
         notes per-job metrics "would greatly improve the estimation
         accuracy for the job" but inflate the feature space, so they are
         recommended "only when necessary" (§5.3) — hence opt-in.
-    solver:
-        Contention-solver path for multi-scenario collection:
-        ``"scalar"``, ``"batched"``, or ``"auto"`` (batched whenever a
-        call holds more than one scenario).  The paths are
-        bit-identical; the knob exists to keep the scalar reference
-        selectable.
     memo:
         Optional content-addressed solve memo (``"off"``/``None``,
         ``"memory"``, ``"store:<path>"``, or a live
-        :class:`~repro.perfmodel.memo.SolveMemo`).  Multi-scenario
-        collection consults it before solving; spec strings ship to
-        executor workers, each resolving its own per-process instance.
+        :class:`~repro.perfmodel.memo.SolveMemo`).  Every collection
+        consults it before solving; spec strings ship to executor
+        workers, each resolving its own per-process instance.
     """
 
     def __init__(
@@ -198,12 +191,10 @@ class Profiler:
         temporal_samples: int = 0,
         temporal_jitter: float = 0.15,
         per_job_metrics: tuple[str, ...] = (),
-        solver: str = "auto",
         memo=None,
     ) -> None:
         if temporal_samples < 0:
             raise ValueError("temporal_samples must be non-negative")
-        resolve_solver_mode(solver, 0)  # validate eagerly
         if isinstance(memo, str):
             from ..perfmodel.memo import validate_memo_spec
 
@@ -240,7 +231,6 @@ class Profiler:
         self.specs = tuple(specs)
         self.noise_sigma = noise_sigma
         self.seed = seed
-        self.solver = solver
         self.memo = memo
         self.database = database
         if database is not None:
@@ -313,14 +303,9 @@ class Profiler:
                 finally:
                     if resolved is not runtime:
                         resolved.close()
-            elif resolve_solver_mode(self.solver, len(dataset)) == "batched":
+            else:
                 cleans = self.collect_many(
                     dataset.scenarios, dataset, machine
-                )
-            else:
-                cleans = (
-                    self.collect(scenario, dataset, machine)
-                    for scenario in dataset.scenarios
                 )
             for row, (scenario, clean) in enumerate(
                 zip(dataset.scenarios, cleans)
@@ -663,11 +648,10 @@ class Profiler:
         (the store codec's tables), published through shared memory,
         and workers receive bare ``(start, stop)`` row ranges — the
         batched analogue of the historical range layout with the
-        per-chunk scenario pickling removed.  ``pickle`` keeps the
-        historical layouts: one row range per task for the batched
-        solver, one row per task for the scalar reference.  Either way
-        the row blocking is identical, so results are bit-identical
-        across modes.
+        per-chunk scenario pickling removed.  ``pickle`` ships the
+        dataset with one row range per task.  Either way the row
+        blocking is identical, so results are bit-identical across
+        modes.
 
         The dispatched profiler copy drops the database handle (it is
         not picklable and persistence must stay in the parent anyway);
@@ -681,19 +665,15 @@ class Profiler:
         from ..runtime.config import cost_aware_block, record_stage_cost
         from ..runtime.dispatch import choose_dispatch
         from ..runtime.executor import ProcessExecutor
-        from ..runtime.resilience import TaskFailure
 
         pool = resolved.executor
         config = resolved.config
-        batched = resolve_solver_mode(self.solver, len(dataset)) == "batched"
         mode = choose_dispatch(
             config.dispatch,
             store_backed=False,
             parallel=isinstance(pool, ProcessExecutor),
             journaled=getattr(pool, "checkpoint", None) is not None,
         )
-        if mode == "shm" and not batched:
-            mode = "pickle"  # the scalar reference keeps per-row tasks
         signatures = None
         if mode == "shm":
             signatures = _signature_catalogue(dataset)
@@ -744,45 +724,15 @@ class Profiler:
             )
             return _reassemble_blocks(ranges, blocks)
 
-        if batched:
-            range_task = _CollectRangeTask(
-                profiler=worker_profiler, dataset=dataset, machine=machine
-            )
-            begin = time.perf_counter()
-            blocks = pool.map(
-                range_task, ranges, chunk_size=1, stage="profile"
-            )
-            record_stage_cost(
-                "profile", time.perf_counter() - begin, len(dataset)
-            )
-            return _reassemble_blocks(ranges, blocks)
-
-        task = _CollectTask(
+        range_task = _CollectRangeTask(
             profiler=worker_profiler, dataset=dataset, machine=machine
         )
         begin = time.perf_counter()
-        cleans = pool.map(
-            task,
-            range(len(dataset)),
-            chunk_size=block,
-            stage="profile",
-        )
+        blocks = pool.map(range_task, ranges, chunk_size=1, stage="profile")
         record_stage_cost(
             "profile", time.perf_counter() - begin, len(dataset)
         )
-        lost = [
-            row
-            for row, clean in enumerate(cleans)
-            if isinstance(clean, TaskFailure)
-        ]
-        if lost:
-            raise RuntimeError(
-                f"profiling lost {len(lost)} scenario(s) (rows {lost[:5]}"
-                f"{'…' if len(lost) > 5 else ''}); a partial metric matrix "
-                "would skew every downstream stage — rerun with a "
-                "non-skipping failure policy"
-            )
-        return cleans
+        return _reassemble_blocks(ranges, blocks)
 
     def collect(
         self,
@@ -791,8 +741,7 @@ class Profiler:
         machine: MachinePerf,
     ) -> np.ndarray:
         """Noise-free metric vector for one scenario (registry order)."""
-        solution = solve_colocation(machine, list(scenario.instances))
-        return self._vector_from_solution(scenario, dataset, machine, solution)
+        return self.collect_many((scenario,), dataset, machine)[0]
 
     def collect_many(
         self,
@@ -804,10 +753,9 @@ class Profiler:
     ) -> list[np.ndarray]:
         """Noise-free metric vectors for many scenarios, batch-solved.
 
-        Bit-identical to calling :meth:`collect` per scenario; the
-        contention fixed point runs through the solver path selected by
-        ``self.solver`` and large populations are processed in blocks
-        of *block_rows* so the batch working set stays bounded.
+        Each block of *block_rows* scenarios is one contention batch
+        (through ``self.memo`` when set), which keeps the batch working
+        set bounded; a row's vector does not depend on the blocking.
         """
         vectors: list[np.ndarray] = []
         for start in range(0, len(scenarios), block_rows):
@@ -815,7 +763,6 @@ class Profiler:
             solutions = solve_colocation_many(
                 machine,
                 [list(scenario.instances) for scenario in block],
-                solver=self.solver,
                 memo=self.memo,
             )
             vectors.extend(
@@ -852,10 +799,7 @@ class Profiler:
         dataset = decode_shard(
             scenario_table, instance_table, names, signatures, shape
         )
-        if (
-            self.memo is not None
-            or resolve_solver_mode(self.solver, len(dataset)) != "batched"
-        ):
+        if self.memo is not None:
             # The memo path routes through collect_many so hits short-
             # circuit before any batch packing (bit-identical either way).
             vectors = self.collect_many(dataset.scenarios, dataset, machine)
@@ -937,7 +881,8 @@ class Profiler:
         historical nested scalar loop), the solves are one batch, and the
         four :data:`TEMPORAL_BASES` reduce over (sample × instance)
         counter matrices instead of building ~50 metrics per sample.
-        Bit-identical to :meth:`_temporal_metrics_scalar`: row reductions
+        Bit-identical to the historical per-sample loop over
+        :func:`_level_metrics` (kept as a test oracle): row reductions
         of a C-contiguous matrix apply the same pairwise summation as the
         per-subset 1-D arrays, and the instruction-weighted LLC-MPKI keeps
         the same 1-D BLAS dot call per row.  High-priority membership is
@@ -964,7 +909,7 @@ class Profiler:
             for row in loads
         ]
         solutions = solve_colocation_many(
-            machine, jittered_samples, solver=self.solver, memo=self.memo
+            machine, jittered_samples, memo=self.memo
         )
 
         # One extraction pass over the solved samples.
@@ -1037,67 +982,6 @@ class Profiler:
                 )
         return out
 
-    def _temporal_metrics_scalar(
-        self,
-        scenario: Scenario,
-        machine: MachinePerf,
-        base_values: dict[str, float],
-    ) -> dict[str, float]:
-        """Reference implementation of :meth:`_temporal_metrics`.
-
-        The historical per-sample loop over :func:`_level_metrics`, kept
-        as the ground truth the vectorised path must match bit-for-bit
-        (see the differential test in ``tests/telemetry``).
-        """
-        rng = np.random.default_rng((self.seed, scenario.scenario_id))
-        samples: dict[str, list[float]] = {}
-        for level in (MetricLevel.MACHINE, MetricLevel.HP):
-            for base in TEMPORAL_BASES:
-                name = f"{base}-{level.value}"
-                samples[name] = [base_values[name]]
-
-        jittered_samples: list[list[RunningInstance]] = []
-        for _ in range(self.temporal_samples):
-            jittered = []
-            for inst in scenario.instances:
-                factor = 1.0 + rng.uniform(
-                    -self.temporal_jitter, self.temporal_jitter
-                )
-                load = float(np.clip(inst.load * factor, 0.05, 1.0))
-                jittered.append(
-                    RunningInstance(signature=inst.signature, load=load)
-                )
-            jittered_samples.append(jittered)
-        solutions = solve_colocation_many(
-            machine, jittered_samples, solver=self.solver, memo=self.memo
-        )
-        for jittered, solution in zip(jittered_samples, solutions):
-            pairs = list(zip(jittered, solution.instances))
-            for level, selector in (
-                (MetricLevel.MACHINE, lambda _: True),
-                (MetricLevel.HP, lambda perf: perf.is_high_priority),
-            ):
-                subset = [(ri, pi) for ri, pi in pairs if selector(pi)]
-                level_values = _level_metrics(
-                    subset,
-                    scenario.total_vcpus,
-                    1.0,
-                    machine,
-                )
-                for base in TEMPORAL_BASES:
-                    samples[f"{base}-{level.value}"].append(
-                        level_values[base]
-                    )
-
-        out = {}
-        for level in (MetricLevel.MACHINE, MetricLevel.HP):
-            for base in TEMPORAL_BASES:
-                series = np.asarray(samples[f"{base}-{level.value}"])
-                out[temporal_metric_name(base, level)] = float(
-                    series.std(ddof=0)
-                )
-        return out
-
     # ------------------------------------------------------------------
     def _ensure_tables(self, database: Database) -> None:
         if "scenarios" not in database.table_names:
@@ -1159,20 +1043,6 @@ class Profiler:
 
 
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _CollectTask:
-    """Picklable per-row profiling task for executor fan-out."""
-
-    profiler: "Profiler"
-    dataset: ScenarioDataset
-    machine: MachinePerf
-
-    def __call__(self, row: int) -> np.ndarray:
-        return self.profiler.collect(
-            self.dataset.scenarios[row], self.dataset, self.machine
-        )
-
-
 @dataclass(frozen=True)
 class _CollectRangeTask:
     """Picklable row-range profiling task for batched executor fan-out.
@@ -1314,8 +1184,7 @@ class _CollectBatchTask:
     The item *is* the batch dataset, so a checkpoint journal keys each
     chunk by batch content — independent of how batches were grouped
     into dispatch windows.  Each shard is solved as one contention
-    batch through the profiler's solver knob (``collect_many`` falls
-    back to per-scenario scalar solves when so configured).
+    batch.
     """
 
     profiler: "Profiler"

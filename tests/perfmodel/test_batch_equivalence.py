@@ -1,13 +1,16 @@
-"""Differential equivalence battery: batched solver vs scalar reference.
+"""Differential equivalence battery: the batched solver vs the scalar oracle.
 
-The batched solver promises *bit-identity* with the scalar fixed point
-(see :mod:`repro.perfmodel.batch`), which is strictly stronger than the
-1e-9 agreement the acceptance criteria demand — so every comparison
-here asserts exact float equality on all per-instance outputs (IPC,
-MIPS, the full CPI stack, cache shares, miss ratios, bandwidth) and on
-the machine-wide latency/utilisation summary.  Populations come from
+The batched solver (the only solver in ``src/``) promises
+*bit-identity* with the historical per-scenario fixed point, kept in
+:mod:`tests.perfmodel.scalar_oracle` — strictly stronger than the 1e-9
+agreement the acceptance criteria demand — so every comparison here
+asserts exact float equality on all per-instance outputs (IPC, MIPS,
+the full CPI stack, cache shares, miss ratios, bandwidth) and on the
+machine-wide latency/utilisation summary.  Populations come from
 hypothesis plus hand-built edge cases: single job, all-LP, saturated
-bandwidth, zero-APKI signatures, empty scenarios, ragged batches.
+bandwidth, zero-APKI signatures, empty scenarios, ragged batches.  The
+end-to-end tests route every solve of the Profiler, the Replayer and
+the full-datacenter truth through the oracle and compare.
 """
 
 from __future__ import annotations
@@ -23,13 +26,15 @@ from repro.perfmodel import (
     MissRatioCurve,
     RunningInstance,
     ScenarioBatch,
+    SolveMemo,
     solve_colocation,
     solve_colocation_batch,
     solve_colocation_many,
 )
-from repro.perfmodel.batch import resolve_solver_mode
 from repro.perfmodel.signatures import JobSignature, Priority
 from repro.workloads import HP_JOBS, LP_JOBS
+from tests.perfmodel.scalar_oracle import routed_through_oracle
+from tests.perfmodel.scalar_oracle import solve_colocation as oracle_solve
 
 CATALOGUE = {**HP_JOBS, **LP_JOBS}
 _ALL_JOBS = sorted(CATALOGUE)
@@ -82,7 +87,7 @@ def assert_solutions_identical(scalar, batched):
 
 
 def assert_batch_matches_scalar(machine, population):
-    scalar = [solve_colocation(machine, instances) for instances in population]
+    scalar = [oracle_solve(machine, instances) for instances in population]
     batched = solve_colocation_batch(machine, population)
     assert len(batched) == len(scalar)
     for s, b in zip(scalar, batched):
@@ -129,7 +134,7 @@ class TestHypothesisPopulations:
     @given(machines, populations)
     def test_iteration_counts_match(self, machine, pop):
         population = [build(mix) for mix in pop]
-        scalar = [solve_colocation(machine, inst) for inst in population]
+        scalar = [oracle_solve(machine, inst) for inst in population]
         batched = solve_colocation_batch(machine, population)
         # Bit-identical rates require replaying the exact damping
         # schedule, so the counts are not merely bounded — they agree.
@@ -258,58 +263,76 @@ class TestScenarioBatchLayout:
 
 
 class TestSolverModeDispatch:
-    def test_resolve_solver_mode(self):
-        assert resolve_solver_mode("scalar", 100) == "scalar"
-        assert resolve_solver_mode("batched", 1) == "batched"
-        assert resolve_solver_mode("auto", 1) == "scalar"
-        assert resolve_solver_mode("auto", 2) == "batched"
-        with pytest.raises(ValueError, match="unknown solver"):
-            resolve_solver_mode("vectorised", 2)
+    """Every public entry point reaches the same batched fixed point."""
 
-    def test_many_agrees_across_modes(self):
+    def test_solve_colocation_is_a_one_row_batch(self):
         machine = MachinePerf()
-        population = [build([("DA", 1.0), ("mcf", 0.9)]), build([("WSC", 0.7)])]
-        scalar = solve_colocation_many(machine, population, solver="scalar")
-        batched = solve_colocation_many(machine, population, solver="batched")
-        auto = solve_colocation_many(machine, population, solver="auto")
-        for s, b, a in zip(scalar, batched, auto):
-            assert_solutions_identical(s, b)
-            assert_solutions_identical(s, a)
+        for mix in ([("DA", 1.0), ("mcf", 0.9)], [("WSC", 0.7)], []):
+            instances = build(mix)
+            assert_solutions_identical(
+                oracle_solve(machine, instances),
+                solve_colocation(machine, instances),
+            )
 
     def test_many_rejects_unknown_solver(self):
-        with pytest.raises(ValueError, match="unknown solver"):
-            solve_colocation_many(MachinePerf(), [build([("DA", 1.0)])],
-                                  solver="fast")
+        # There is no solver to choose: the retired keyword is an error,
+        # not a silently ignored option.
+        with pytest.raises(TypeError, match="solver"):
+            solve_colocation_many(
+                MachinePerf(), [build([("DA", 1.0)])], solver="scalar"
+            )
+
+    def test_many_agrees_across_modes(self):
+        from repro.perfmodel.contention import solve_colocation_cached
+
+        machine = MachinePerf()
+        population = [
+            build([("DA", 1.0), ("mcf", 0.9)]),
+            build([("WSC", 0.7)]),
+            build([("DA", 1.0), ("mcf", 0.9)]),
+        ]
+        solve_colocation_cached.cache_clear()
+        modes = {
+            "plain": solve_colocation_many(machine, population),
+            "cached": solve_colocation_many(machine, population, cached=True),
+            "memo": solve_colocation_many(
+                machine, population, memo=SolveMemo("memory")
+            ),
+        }
+        solve_colocation_cached.cache_clear()
+        for instances, *solutions in zip(population, *modes.values()):
+            reference = oracle_solve(machine, instances)
+            for solution in solutions:
+                assert_solutions_identical(reference, solution)
 
 
 class TestEndToEndEquivalence:
-    """The routed callers agree across solver modes and executors."""
+    """The routed callers agree with the oracle and across executors."""
 
     def _feature(self):
         return PAPER_FEATURES[0]
 
-    def test_profiler_matrix_identical_across_solvers(self, tiny_dataset):
+    def test_profiler_matrix_identical_across_solvers(
+        self, tiny_dataset, monkeypatch
+    ):
         from repro.telemetry import Profiler
 
-        matrices = {}
-        for solver in ("scalar", "batched"):
-            profiled = Profiler(seed=11, solver=solver).profile(tiny_dataset)
-            matrices[solver] = profiled.matrix
-        assert (matrices["scalar"] == matrices["batched"]).all()
+        batched = Profiler(seed=11).profile(tiny_dataset).matrix
+        with routed_through_oracle(monkeypatch):
+            oracle = Profiler(seed=11).profile(tiny_dataset).matrix
+        assert (oracle == batched).all()
 
     def test_profiler_process_executor_identical(self, tiny_dataset):
         from repro.runtime import ProcessExecutor
         from repro.telemetry import Profiler
 
-        serial = Profiler(seed=11, solver="batched").profile(tiny_dataset)
+        serial = Profiler(seed=11).profile(tiny_dataset)
         with ProcessExecutor(max_workers=2) as pool:
-            parallel = Profiler(seed=11, solver="batched").profile(
-                tiny_dataset, runtime=pool
-            )
+            parallel = Profiler(seed=11).profile(tiny_dataset, runtime=pool)
         assert (serial.matrix == parallel.matrix).all()
 
     def test_replayer_identical_across_solvers_and_executors(
-        self, tiny_dataset
+        self, tiny_dataset, monkeypatch
     ):
         from repro.core.replayer import Replayer
         from repro.runtime import ProcessExecutor
@@ -317,32 +340,33 @@ class TestEndToEndEquivalence:
         feature = self._feature()
         scenarios = tiny_dataset.scenarios
         results = {}
-        for solver in ("scalar", "batched"):
-            replayer = Replayer(tiny_dataset.shape, solver=solver)
-            results[solver] = replayer.replay_many(scenarios, feature)
+        with routed_through_oracle(monkeypatch):
+            replayer = Replayer(tiny_dataset.shape)
+            results["oracle"] = replayer.replay_many(scenarios, feature)
+        replayer = Replayer(tiny_dataset.shape)
+        results["batched"] = replayer.replay_many(scenarios, feature)
+        results["single"] = tuple(
+            replayer.replay(scenario, feature) for scenario in scenarios
+        )
         with ProcessExecutor(max_workers=2) as pool:
-            replayer = Replayer(tiny_dataset.shape, solver="batched")
             results["process"] = replayer.replay_many(
                 scenarios, feature, executor=pool
             )
-        reference = [m.reduction_pct for m in results["scalar"]]
-        for key in ("batched", "process"):
+        reference = [m.reduction_pct for m in results["oracle"]]
+        for key in ("batched", "single", "process"):
             assert [m.reduction_pct for m in results[key]] == reference
-            for ref, got in zip(results["scalar"], results[key]):
+            for ref, got in zip(results["oracle"], results[key]):
                 assert got.baseline.overall == ref.baseline.overall
                 assert got.enabled.overall == ref.enabled.overall
                 assert got.baseline.per_job == ref.baseline.per_job
 
-    def test_full_datacenter_truth_identical(self, tiny_dataset):
+    def test_full_datacenter_truth_identical(self, tiny_dataset, monkeypatch):
         from repro.baselines import evaluate_full_datacenter
 
         feature = self._feature()
-        scalar = evaluate_full_datacenter(
-            tiny_dataset, feature, solver="scalar"
-        )
-        batched = evaluate_full_datacenter(
-            tiny_dataset, feature, solver="batched"
-        )
+        with routed_through_oracle(monkeypatch):
+            scalar = evaluate_full_datacenter(tiny_dataset, feature)
+        batched = evaluate_full_datacenter(tiny_dataset, feature)
         assert scalar.overall_reduction_pct == batched.overall_reduction_pct
         assert scalar.per_job == batched.per_job
         assert (scalar.reductions_pct == batched.reductions_pct).all()

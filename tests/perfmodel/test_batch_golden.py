@@ -2,8 +2,9 @@
 
 A small deterministic scenario population is solved on a handful of
 machine configurations and the full numeric output frozen into
-``tests/perfmodel/golden/contention_golden.json``.  Both solver paths
-must reproduce the committed numbers **bit for bit** — JSON stores each
+``tests/perfmodel/golden/contention_golden.json``.  The batched solver
+and its scalar test oracle (:mod:`tests.perfmodel.scalar_oracle`) must
+both reproduce the committed numbers **bit for bit** — JSON stores each
 double via ``repr``, which round-trips exactly — so any change to the
 fixed point's arithmetic (constants, association order, damping
 schedule) shows up as a diff against a committed artefact rather than a
@@ -25,10 +26,10 @@ import pytest
 from repro.perfmodel import (
     MachinePerf,
     RunningInstance,
-    solve_colocation,
     solve_colocation_batch,
 )
 from repro.workloads import HP_JOBS, LP_JOBS
+from tests.perfmodel.scalar_oracle import solve_colocation as oracle_solve
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "contention_golden.json"
 
@@ -98,12 +99,12 @@ def _solution_record(solution) -> dict:
 
 
 def generate_golden() -> dict:
-    """Freeze the scalar reference solver's outputs for the population."""
+    """Freeze the scalar oracle's outputs for the population."""
     population = golden_population()
     cases = []
     for machine_name, machine in sorted(_MACHINES.items()):
         for mix in population:
-            solution = solve_colocation(machine, _build(mix))
+            solution = oracle_solve(machine, _build(mix))
             cases.append(
                 {
                     "machine": machine_name,
@@ -166,7 +167,7 @@ def test_scalar_solver_reproduces_golden(golden):
     for case in golden["cases"]:
         machine = _MACHINES[case["machine"]]
         mix = [(name, load) for name, load in case["scenario"]]
-        _assert_matches_case(case, solve_colocation(machine, _build(mix)))
+        _assert_matches_case(case, oracle_solve(machine, _build(mix)))
 
 
 def test_batched_solver_reproduces_golden(golden):

@@ -1,7 +1,7 @@
 """Physical-invariant property tests for the batched solver.
 
-The scalar solver's invariants are covered in
-``test_contention_properties.py``; this module asserts the same physics
+One-row solves (checked against the scalar test oracle) are covered
+in ``test_contention_properties.py``; this module asserts the same physics
 on :func:`repro.perfmodel.solve_colocation_batch` outputs — ragged
 batches included — plus the model-level monotonicity and capping
 contracts the batch layout must not disturb:
@@ -13,6 +13,9 @@ contracts the batch layout must not disturb:
   below 1, so memory latency is always finite and bounded;
 * the SMT CPI penalty is exactly zero while the machine is not
   core-oversubscribed, and disabling SMT never shrinks the penalty.
+
+Every batch solve here also checks each row bit for bit against the
+scalar test oracle (:mod:`tests.perfmodel.scalar_oracle`).
 """
 
 from __future__ import annotations
@@ -21,10 +24,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.perfmodel import MachinePerf, RunningInstance, solve_colocation_batch
+from repro.perfmodel import MachinePerf, RunningInstance
+from repro.perfmodel import solve_colocation_batch as shipped_batch
 from repro.perfmodel.contention import _BW_CONGESTION_GAIN, _BW_UTIL_CAP
 from repro.perfmodel.mrc import hyperbolic_miss_ratio
 from repro.workloads import HP_JOBS, LP_JOBS
+from tests.perfmodel.scalar_oracle import solve_colocation as oracle_solve
+from tests.perfmodel.test_batch_equivalence import assert_solutions_identical
 
 _CATALOGUE = {**HP_JOBS, **LP_JOBS}
 _ALL_JOBS = sorted(_CATALOGUE)
@@ -47,6 +53,14 @@ machines = st.builds(
     smt_enabled=st.booleans(),
     mem_bw_gbps=st.floats(min_value=15.0, max_value=200.0),
 )
+
+
+def solve_colocation_batch(machine, population):
+    """The shipped batch solve, each row checked against the oracle."""
+    solutions = shipped_batch(machine, population)
+    for instances, solution in zip(population, solutions):
+        assert_solutions_identical(oracle_solve(machine, instances), solution)
+    return solutions
 
 
 def build(pop):

@@ -1,10 +1,18 @@
-"""Property-based tests for contention-solver invariants."""
+"""Property-based tests for contention-solver invariants.
+
+Every solve here goes through :func:`solve`, which also runs the scalar
+test oracle and asserts bit-identity, so each hypothesis draw is a
+differential check of the shipped solver as well as a physics check.
+"""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.perfmodel import MachinePerf, RunningInstance, solve_colocation
+from repro.perfmodel import MachinePerf, RunningInstance
+from repro.perfmodel import solve_colocation as shipped_solve
 from repro.workloads import HP_JOBS, LP_JOBS
+from tests.perfmodel.scalar_oracle import solve_colocation as oracle_solve
+from tests.perfmodel.test_batch_equivalence import assert_solutions_identical
 
 _ALL_JOBS = sorted({**HP_JOBS, **LP_JOBS})
 
@@ -24,6 +32,13 @@ machines = st.builds(
     smt_enabled=st.booleans(),
     mem_bw_gbps=st.floats(min_value=30.0, max_value=200.0),
 )
+
+
+def solve_colocation(machine, instances):
+    """The shipped solve, checked bit for bit against the oracle."""
+    solution = shipped_solve(machine, instances)
+    assert_solutions_identical(oracle_solve(machine, instances), solution)
+    return solution
 
 
 def build(mix):

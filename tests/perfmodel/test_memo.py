@@ -5,8 +5,11 @@ solve.  These tests pin that down from every direction:
 
 * **differential equivalence** (hypothesis): memo-on and memo-off runs
   of ``solve_colocation_many`` agree on every published float *exactly*
-  (``==``, not approx), for random machines and scenario populations,
-  through both the scalar and batched solver paths;
+  (``==``, not approx) with the scalar test oracle
+  (:mod:`tests.perfmodel.scalar_oracle`), for random machines and
+  scenario populations;
+* **every entry point memoises**: one-scenario Profiler and Replayer
+  calls consult and fill the memo like larger ones;
 * **cold == warm == cross-run**: a store-backed memo returns the same
   bits whether the entry was just solved, is served from the in-process
   LRU, or is read back by a fresh process-equivalent instance from the
@@ -45,6 +48,7 @@ from repro.perfmodel.memo import (
     validate_memo_spec,
 )
 from repro.workloads import HP_JOBS, LP_JOBS
+from tests.perfmodel.scalar_oracle import solve_colocation as oracle_solve
 
 _CATALOGUE = {**HP_JOBS, **LP_JOBS}
 _ALL_JOBS = sorted(_CATALOGUE)
@@ -124,18 +128,16 @@ def _clean_registry():
 # ----------------------------------------------------------------------
 # Differential equivalence: memo on == memo off, exactly
 @settings(max_examples=40, deadline=None)
-@given(machines, populations, st.sampled_from(["scalar", "batched"]))
-def test_memo_on_equals_memo_off_exactly(machine, pop, solver):
+@given(machines, populations)
+def test_memo_on_equals_memo_off_exactly(machine, pop):
     population = build(pop)
-    plain = solve_colocation_many(machine, population, solver=solver)
+    plain = solve_colocation_many(machine, population)
     memo = SolveMemo("memory")
-    cold = solve_colocation_many(
-        machine, population, solver=solver, memo=memo
-    )
-    warm = solve_colocation_many(
-        machine, population, solver=solver, memo=memo
-    )
-    for index, reference in enumerate(plain):
+    cold = solve_colocation_many(machine, population, memo=memo)
+    warm = solve_colocation_many(machine, population, memo=memo)
+    for index, instances in enumerate(population):
+        reference = oracle_solve(machine, instances)
+        assert_bit_identical(reference, plain[index], f"plain[{index}]")
         assert_bit_identical(reference, cold[index], f"cold[{index}]")
         assert_bit_identical(reference, warm[index], f"warm[{index}]")
 
@@ -144,14 +146,13 @@ def test_memo_on_equals_memo_off_exactly(machine, pop, solver):
 @given(machines, populations)
 def test_memoised_scalar_equals_memoised_batched(machine, pop):
     population = build(pop)
-    scalar = solve_colocation_many(
-        machine, population, solver="scalar", memo=SolveMemo("memory")
-    )
     batched = solve_colocation_many(
-        machine, population, solver="batched", memo=SolveMemo("memory")
+        machine, population, memo=SolveMemo("memory")
     )
-    for index, reference in enumerate(scalar):
-        assert_bit_identical(reference, batched[index], f"[{index}]")
+    for index, instances in enumerate(population):
+        assert_bit_identical(
+            oracle_solve(machine, instances), batched[index], f"[{index}]"
+        )
 
 
 def _population():
@@ -205,6 +206,7 @@ def test_in_batch_duplicates_share_one_solve(tmp_path):
 
 @pytest.mark.parametrize("solver", ["scalar", "batched"])
 def test_in_batch_repeats_count_as_memo_hits(solver):
+    """Repeats are hits whether solved in one batch or one at a time."""
     distinct = build(
         [
             [("DA", 1.0), ("mcf", 0.8)],
@@ -219,9 +221,15 @@ def test_in_batch_repeats_count_as_memo_hits(solver):
     registry = MetricsRegistry()
     previous = set_metrics(registry)
     try:
-        solved = solve_colocation_many(
-            MachinePerf(), scenarios, solver=solver, memo=memo
-        )
+        if solver == "batched":
+            solved = solve_colocation_many(
+                MachinePerf(), scenarios, memo=memo
+            )
+        else:
+            solved = [
+                solve_colocation_many(MachinePerf(), [one], memo=memo)[0]
+                for one in scenarios
+            ]
     finally:
         set_metrics(previous)
     assert solved[5] is solved[0] and solved[6] is solved[3]
@@ -232,6 +240,49 @@ def test_in_batch_repeats_count_as_memo_hits(solver):
     assert counted == (2, 5)
     stats = memo.stats()
     assert (stats["memory_hits"], stats["memory_misses"]) == (2, 5)
+
+
+# ----------------------------------------------------------------------
+# Every entry point memoises, one-scenario calls included
+def _memo_counts(memo) -> tuple[int, int]:
+    stats = memo.stats()
+    return stats["memory_hits"], stats["memory_misses"]
+
+
+def test_one_scenario_replay_consults_the_memo(tiny_dataset):
+    from repro.cluster.features import FEATURE_1_CACHE
+    from repro.core.replayer import Replayer
+
+    memo = SolveMemo("memory")
+    replayer = Replayer(tiny_dataset.shape, memo=memo)
+    first, second = tiny_dataset.scenarios[:2]
+    # One scenario, solved on the baseline and on the feature machine.
+    replayer.replay_many((first,), FEATURE_1_CACHE)
+    assert _memo_counts(memo) == (0, 2)
+    replayer.replay_many((first, second), FEATURE_1_CACHE)
+    assert _memo_counts(memo) == (2, 4)
+    replayer.replay(second, FEATURE_1_CACHE)
+    assert _memo_counts(memo) == (4, 4)
+
+
+def test_one_scenario_profile_consults_the_memo(tiny_dataset):
+    from repro.cluster import ScenarioDataset
+    from repro.telemetry import Profiler
+
+    memo = SolveMemo("memory")
+    profiler = Profiler(memo=memo)
+    scenarios = tiny_dataset.scenarios
+
+    def profile(rows):
+        return profiler.profile(
+            ScenarioDataset(shape=tiny_dataset.shape, scenarios=rows)
+        ).matrix
+
+    single = profile(scenarios[:1])
+    assert _memo_counts(memo) == (0, 1)
+    pair = profile(scenarios[:2])
+    assert _memo_counts(memo) == (1, 2)
+    assert (single[0] == pair[0]).all()
 
 
 # ----------------------------------------------------------------------

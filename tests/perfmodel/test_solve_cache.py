@@ -14,13 +14,14 @@ import dataclasses
 
 import pytest
 
-from repro.perfmodel import MachinePerf, RunningInstance, solve_colocation
+from repro.perfmodel import MachinePerf, RunningInstance
 from repro.perfmodel.batch import solve_colocation_many
 from repro.perfmodel.contention import (
     _SolveCache,
     solve_colocation_cached,
 )
 from repro.workloads import HP_JOBS, LP_JOBS
+from tests.perfmodel.scalar_oracle import solve_colocation as oracle_solve
 
 _CATALOGUE = {**HP_JOBS, **LP_JOBS}
 
@@ -128,7 +129,7 @@ def test_feature_variants_never_share_a_stale_solve():
         from_cache_base = solve_colocation_cached(baseline, instances)
         from_cache_variant = solve_colocation_cached(variant, instances)
         assert from_cache_variant.machine == variant, field
-        direct = solve_colocation(variant, instances)
+        direct = oracle_solve(variant, instances)
         assert from_cache_variant.total_mips == direct.total_mips, field
         assert (
             from_cache_variant.mem_latency_ns == direct.mem_latency_ns
@@ -174,18 +175,14 @@ def test_batched_many_partitions_hits_and_misses():
         list(_instances(("WSV", 0.6))),
         list(_instances(("DA", 1.0), ("mcf", 0.8))),  # in-batch duplicate
     ]
-    first = solve_colocation_many(
-        machine, scenarios, solver="batched", cached=True
-    )
+    first = solve_colocation_many(machine, scenarios, cached=True)
     info = solve_colocation_cached.cache_info()
     # Three lookups, two solves: the in-batch duplicate is a hit on the
-    # pending solve, as the scalar path would find it cached.
+    # pending solve, as a one-at-a-time caller would find it cached.
     assert (info.hits, info.misses) == (1, 2)
     assert info.currsize == 2
     assert first[0] is first[2]
-    second = solve_colocation_many(
-        machine, scenarios, solver="batched", cached=True
-    )
+    second = solve_colocation_many(machine, scenarios, cached=True)
     info = solve_colocation_cached.cache_info()
     assert (info.hits, info.misses) == (4, 2)
     for a, b in zip(first, second):
@@ -197,7 +194,7 @@ def test_scalar_and_batched_callers_share_one_cache():
     instances = _instances(("IA", 1.0), ("omnetpp", 1.0))
     scalar = solve_colocation_cached(machine, instances)
     [batched] = solve_colocation_many(
-        machine, [list(instances)], solver="batched", cached=True
+        machine, [list(instances)], cached=True
     )
     assert batched is scalar
     assert solve_colocation_cached.cache_info().hits == 1
@@ -214,12 +211,16 @@ def test_batched_and_scalar_count_repeats_alike():
     ]
     scenarios = [list(s) for s in distinct + [distinct[0], distinct[3]]]
     infos = {}
-    for solver in ("scalar", "batched"):
-        solve_colocation_cached.cache_clear()
-        solved = solve_colocation_many(
-            machine, scenarios, solver=solver, cached=True
-        )
-        assert solved[5] is solved[0] and solved[6] is solved[3]
-        infos[solver] = solve_colocation_cached.cache_info()
+    solve_colocation_cached.cache_clear()
+    one_by_one = [
+        solve_colocation_cached(machine, tuple(instances))
+        for instances in scenarios
+    ]
+    assert one_by_one[5] is one_by_one[0] and one_by_one[6] is one_by_one[3]
+    infos["scalar"] = solve_colocation_cached.cache_info()
+    solve_colocation_cached.cache_clear()
+    solved = solve_colocation_many(machine, scenarios, cached=True)
+    assert solved[5] is solved[0] and solved[6] is solved[3]
+    infos["batched"] = solve_colocation_cached.cache_info()
     assert (infos["scalar"].hits, infos["scalar"].misses) == (2, 5)
     assert infos["batched"] == infos["scalar"]

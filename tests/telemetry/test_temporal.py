@@ -106,8 +106,9 @@ class TestVectorisedDifferential:
     """The vectorised temporal sampler vs the scalar reference.
 
     ``_temporal_metrics`` draws every jitter factor in one RNG call and
-    batches the co-location solves; ``_temporal_metrics_scalar`` is the
-    original per-sample loop kept as ground truth.  The two must agree
+    batches the co-location solves; ``temporal_metrics_scalar`` in
+    :mod:`tests.perfmodel.scalar_oracle` is the original per-sample
+    loop, solving through the scalar oracle, kept as ground truth.  The two must agree
     bit for bit — any platform or refactor that breaks the documented
     stream/reduction equivalences fails here first.
     """
@@ -115,19 +116,17 @@ class TestVectorisedDifferential:
     def _assert_bitwise_equal(self, profiler, dataset):
         import struct
 
-        from repro.perfmodel.batch import solve_colocation_many
         from repro.telemetry.metrics import MetricLevel
         from repro.telemetry.profiler import _level_metrics
+        from tests.perfmodel.scalar_oracle import (
+            solve_colocation,
+            temporal_metrics_scalar,
+        )
 
         machine = dataset.shape.perf
         bits = lambda x: struct.pack("<d", x)  # noqa: E731
         for scenario in dataset.scenarios:
-            solution = solve_colocation_many(
-                machine,
-                [list(scenario.instances)],
-                solver=profiler.solver,
-                memo=profiler.memo,
-            )[0]
+            solution = solve_colocation(machine, list(scenario.instances))
             pairs = list(zip(scenario.instances, solution.instances))
             base_values = {}
             for level, keep in (
@@ -145,8 +144,8 @@ class TestVectorisedDifferential:
             vectorised = profiler._temporal_metrics(
                 scenario, machine, base_values
             )
-            scalar = profiler._temporal_metrics_scalar(
-                scenario, machine, base_values
+            scalar = temporal_metrics_scalar(
+                profiler, scenario, machine, base_values
             )
             assert vectorised.keys() == scalar.keys()
             for name in scalar:
