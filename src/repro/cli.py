@@ -778,8 +778,6 @@ def _cmd_fleet(args) -> int:
     import json as _json
     import pathlib
 
-    import numpy as np
-
     from .core.refit import refit, replay_refit
     from .io.serialization import fitted_digest
     from .store import LiveStore, TailingSource
@@ -847,7 +845,6 @@ def _cmd_fleet(args) -> int:
 
     def journal_entry(cycle: int, status: str, action: str, model) -> dict:
         plan = model._refit_plan
-        init = plan.get("init") if plan else None
         return {
             "cycle": cycle,
             "covered": int(model.analysis.labels.shape[0]),
@@ -855,14 +852,7 @@ def _cmd_fleet(args) -> int:
             "action": action,
             "digest": fitted_digest(model),
             "lineage": [e.to_dict() for e in model.lineage],
-            "plan": None
-            if plan is None
-            else {
-                "k": int(plan["k"]),
-                "init": None if init is None else np.asarray(init).tolist(),
-                "block_rows": int(plan["block_rows"]),
-                "sample_capacity": int(plan["sample_capacity"]),
-            },
+            "plan": None if plan is None else plan.to_dict(),
         }
 
     runtime = _resolve_runtime(

@@ -44,6 +44,7 @@ from .interpretation import ComponentInterpretation, interpret_components
 from .refinement import RefinedDataset, refine
 from .replayer import Replayer
 from .representatives import RepresentativeSet, extract_representatives
+from .streaming_fit import StreamingFit
 
 __all__ = ["FlareConfig", "Flare"]
 
@@ -147,17 +148,15 @@ class Flare:
         self._representatives: RepresentativeSet | None = None
         self._interpretations: tuple[ComponentInterpretation, ...] | None = None
         self._replayer: Replayer | None = None
-        #: Pruning provenance for out-of-core fits, where no
-        #: RefinedDataset exists to carry it.
+        #: Which raw metrics survived refinement, on either fit path
+        #: (out-of-core fits have no RefinedDataset to carry it).
         self._prune_report: PruneReport | None = None
-        self._streaming = False
         #: Provenance chain of refit-path models (see repro.core.refit);
         #: empty for models fitted directly.
         self.lineage: tuple = ()
-        #: Deterministic-replay plan of a refit-path model (chosen k,
-        #: warm-start centroids) — what save_model/load_model need to
-        #: reproduce a warm-started fit exactly.
-        self._refit_plan: dict | None = None
+        #: The repro.core.refit.RefitPlan of a refit-path model: what
+        #: load_model needs to reproduce a warm-started fit exactly.
+        self._refit_plan = None
 
     # ------------------------------------------------------------------
     def fit(
@@ -201,91 +200,42 @@ class Flare:
         source = resolve_source_argument(source, dataset, owner="Flare.fit")
         if len(source) < 2:
             raise ValueError("FLARE needs at least 2 scenarios to fit")
-        if not isinstance(source, ScenarioDataset):
-            return self._fit_streaming(source, runtime=runtime)
-        dataset = source
-        with obs_span("flare.fit", n_scenarios=len(dataset)) as fit_span:
-            profiler = self.config.make_profiler(database=self.database)
-            with obs_span("flare.profile"):
-                self._profiled = profiler.profile(dataset, runtime=runtime)
-            with obs_span("flare.refine"):
-                self._refined = refine(
-                    self._profiled, threshold=self.config.refinement_threshold
-                )
-            with obs_span("flare.analyze"):
-                self._analysis = Analyzer(self.config.analyzer).analyze(
-                    self._refined
-                )
-            with obs_span("flare.representatives"):
-                self._representatives = extract_representatives(
-                    self._analysis, dataset
-                )
-            with obs_span("flare.interpret"):
-                self._interpretations = interpret_components(
-                    self._analysis.pca,
-                    self._refined.specs,
-                    n_components=self._analysis.n_components,
-                    top_n=self.config.interpretation_top_n,
-                )
-            self._replayer = Replayer(
-                dataset.shape,
-                catalogue=_catalogue_from(dataset),
-                memo=self.config.memo if self.config.memo != "off" else None,
-            )
-            if fit_span is not None:
-                fit_span.attrs["n_clusters"] = self._analysis.n_clusters
-                fit_span.attrs["n_components"] = self._analysis.n_components
-        self._ledger_record(
-            "fit",
-            runtime=runtime,
-            metrics={
-                "n_scenarios": float(len(dataset)),
-                "n_clusters": float(self._analysis.n_clusters),
-                "n_components": float(self._analysis.n_components),
-                "sse_per_scenario": (
-                    self.representatives.baseline.sse_per_scenario
-                ),
-            },
-        )
-        return self
-
-    def _fit_streaming(
-        self,
-        source: "ScenarioSource",
-        *,
-        runtime: "RuntimeConfig | Executor | str | None" = None,
-    ) -> "Flare":
-        """Out-of-core fit over a non-resident source (sharded store)."""
-        from .streaming_fit import streaming_fit
-
+        streaming = not isinstance(source, ScenarioDataset)
+        span_attrs = {"streaming": True} if streaming else {}
         with obs_span(
-            "flare.fit", n_scenarios=len(source), streaming=True
+            "flare.fit", n_scenarios=len(source), **span_attrs
         ) as fit_span:
-            result = streaming_fit(
-                source,
-                self.config,
-                database=self.database,
-                runtime=runtime,
-            )
-            self._streaming = True
-            self._analysis = result.analysis
-            self._prune_report = result.report
-            self._representatives = result.representatives
-            with obs_span("flare.interpret"):
-                self._interpretations = interpret_components(
-                    result.analysis.pca,
-                    result.specs,
-                    n_components=result.analysis.n_components,
-                    top_n=self.config.interpretation_top_n,
+            if streaming:
+                from .streaming_fit import streaming_fit
+
+                fit = streaming_fit(
+                    source, self.config, database=self.database, runtime=runtime
                 )
-            self._replayer = Replayer(
-                source.shape,
-                catalogue=_catalogue_from(source),
-                memo=self.config.memo if self.config.memo != "off" else None,
-            )
-            if fit_span is not None:
-                fit_span.attrs["n_clusters"] = self._analysis.n_clusters
-                fit_span.attrs["n_components"] = self._analysis.n_components
+                self._adopt(source, fit, span=fit_span)
+            else:
+                profiler = self.config.make_profiler(database=self.database)
+                with obs_span("flare.profile"):
+                    profiled = profiler.profile(source, runtime=runtime)
+                with obs_span("flare.refine"):
+                    refined = refine(
+                        profiled, threshold=self.config.refinement_threshold
+                    )
+                with obs_span("flare.analyze"):
+                    analysis = Analyzer(self.config.analyzer).analyze(refined)
+                with obs_span("flare.representatives"):
+                    representatives = extract_representatives(
+                        analysis, source
+                    )
+                fit = StreamingFit(
+                    analysis=analysis,
+                    report=refined.report,
+                    specs=refined.specs,
+                    representatives=representatives,
+                    n_scenarios=len(source),
+                )
+                self._adopt(
+                    source, fit, profiled=profiled, refined=refined, span=fit_span
+                )
         self._ledger_record(
             "fit",
             runtime=runtime,
@@ -297,8 +247,44 @@ class Flare:
                     self.representatives.baseline.sse_per_scenario
                 ),
             },
-            labels={"streaming": True},
+            labels={"streaming": True} if streaming else None,
         )
+        return self
+
+    def _adopt(
+        self,
+        source: "ScenarioSource",
+        fit: "StreamingFit",
+        *,
+        profiled: ProfiledDataset | None = None,
+        refined: RefinedDataset | None = None,
+        span=None,
+    ) -> "Flare":
+        """Install one fit's results on this model; returns self.
+
+        Every fit path (in memory, out-of-core, refit, replay) ends here.
+        Only an in-memory fit has *profiled* and *refined* matrices.
+        """
+        self._profiled = profiled
+        self._refined = refined
+        self._prune_report = fit.report
+        self._analysis = fit.analysis
+        self._representatives = fit.representatives
+        with obs_span("flare.interpret"):
+            self._interpretations = interpret_components(
+                fit.analysis.pca,
+                fit.specs,
+                n_components=fit.analysis.n_components,
+                top_n=self.config.interpretation_top_n,
+            )
+        self._replayer = Replayer(
+            source.shape,
+            catalogue=_catalogue_from(source),
+            memo=self.config.memo if self.config.memo != "off" else None,
+        )
+        if span is not None:
+            span.attrs["n_clusters"] = fit.analysis.n_clusters
+            span.attrs["n_components"] = fit.analysis.n_components
         return self
 
     # ------------------------------------------------------------------
@@ -324,7 +310,7 @@ class Flare:
         soundness gate (cluster-count change, scaler drift) forces a
         full re-fit of the spill.
         """
-        from .refit import DEFAULT_MAX_SCALER_DRIFT, refit as _refit
+        from .refit import refit as _refit
 
         if source is None:
             source = self.dataset
@@ -340,11 +326,7 @@ class Flare:
             trigger=trigger,
             database=self.database,
             runtime=runtime,
-            max_scaler_drift=(
-                DEFAULT_MAX_SCALER_DRIFT
-                if max_scaler_drift is None
-                else max_scaler_drift
-            ),
+            max_scaler_drift=max_scaler_drift,
         )
 
     def watch(
@@ -618,7 +600,6 @@ class Flare:
         new._profiled = self._profiled
         new._refined = self._refined
         new._prune_report = self._prune_report
-        new._streaming = self._streaming
         new._interpretations = self._interpretations
         new._replayer = self._replayer
         new._analysis = replace(self.analysis, cluster_weights=cluster_weights)
@@ -654,11 +635,7 @@ class Flare:
     @property
     def prune_report(self) -> PruneReport:
         """Which raw metrics survived refinement, on either fit path."""
-        if self._refined is not None:
-            return self._refined.report
-        if self._prune_report is not None:
-            return self._prune_report
-        raise RuntimeError("Flare.fit() must be called first")
+        return self._require("_prune_report")
 
     @property
     def analysis(self) -> AnalysisResult:
@@ -679,7 +656,11 @@ class Flare:
     def _require(self, attr: str):
         value = getattr(self, attr)
         if value is None:
-            if self._streaming and attr in ("_profiled", "_refined"):
+            # A fitted model without these matrices was fitted out-of-core.
+            if self._analysis is not None and attr in (
+                "_profiled",
+                "_refined",
+            ):
                 raise RuntimeError(
                     f"this Flare was fitted out-of-core and the full "
                     f"{attr.lstrip('_')} matrix was never materialised; "

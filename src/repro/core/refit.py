@@ -30,6 +30,12 @@ cluster-count change, or per-metric scaler drift beyond
 falls back to a full re-fit of the spill (sweep + seeded restarts),
 which needs no re-profiling because the spill already covers every row.
 
+The statistics passes are the ones :mod:`repro.core.streaming_fit`
+runs for ``Flare.fit`` on a store (one implementation,
+``_fit_out_of_core``), fed fixed-size blocks instead of per-shard ones,
+with the previous model's k and centroids as the warm start and the
+scaler-drift gate between the scaler and the PCA.
+
 Every refit records a :class:`ModelLineage` entry (generation, kind,
 trigger, parent digest) on the returned model and a ``"refit"`` run in
 the ledger, so the provenance chain of a long-lived fleet model stays
@@ -38,26 +44,22 @@ auditable.
 
 from __future__ import annotations
 
+import functools
 import pathlib
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Iterator
 
 import numpy as np
 
-from ..cluster.scenario import ScenarioDataset
 from ..cluster.source import ScenarioSource
-from ..obs import span as obs_span
-from ..stats.correlation import prune_from_correlation
-from ..stats.kmeans import KMeansResult, StreamingKMeans
-from ..stats.pca import IncrementalPCA
 from ..stats.preprocessing import StandardScaler
-from ..stats.silhouette import knee_point, sweep_cluster_counts
-from ..stats.streaming import ReservoirSampler, RunningMoments
-from .analyzer import AnalysisResult, Analyzer
-from .interpretation import interpret_components
-from .representatives import representatives_from_assignments
-from .streaming_fit import DEFAULT_SAMPLE_CAPACITY
+from .pipeline import Flare
+from .streaming_fit import (
+    DEFAULT_SAMPLE_CAPACITY,
+    _fit_out_of_core,
+    _rows_after,
+)
 
 __all__ = [
     "DEFAULT_MAX_SCALER_DRIFT",
@@ -125,15 +127,7 @@ class ModelLineage:
     n_new_rows: int
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "generation": self.generation,
-            "kind": self.kind,
-            "trigger": self.trigger,
-            "parent_digest": self.parent_digest,
-            "source_digest": self.source_digest,
-            "n_scenarios": self.n_scenarios,
-            "n_new_rows": self.n_new_rows,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "ModelLineage":
@@ -148,6 +142,36 @@ class ModelLineage:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class RefitPlan:
+    """What a deterministic replay of one refit needs (see load_model).
+
+    The chosen k, the mapped warm-start centroids (``None`` when cold),
+    and the blocking and reservoir size of the passes.  :meth:`to_dict`
+    is the encoding saved models and the ``repro fleet`` journal carry;
+    JSON round-trips the doubles of ``init`` exactly.
+    """
+
+    k: int
+    init: np.ndarray | None
+    block_rows: int
+    sample_capacity: int
+
+    def to_dict(self) -> dict[str, Any]:
+        init = None if self.init is None else self.init.tolist()
+        return {**vars(self), "init": init}
+
+    @classmethod
+    def from_dict(cls, payload: dict[str, Any]) -> "RefitPlan":
+        init = payload["init"]
+        return cls(
+            k=int(payload["k"]),
+            init=None if init is None else np.asarray(init, dtype=np.float64),
+            block_rows=int(payload["block_rows"]),
+            sample_capacity=int(payload["sample_capacity"]),
+        )
+
+
 def _iter_fixed_blocks(
     metric_store, block_rows: int
 ) -> Iterator[np.ndarray]:
@@ -159,6 +183,10 @@ def _iter_fixed_blocks(
     """
     pieces: list[np.ndarray] = []
     held = 0
+
+    def block() -> np.ndarray:
+        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+
     for matrix in metric_store.iter_matrices():
         pos = 0
         rows = matrix.shape[0]
@@ -168,40 +196,10 @@ def _iter_fixed_blocks(
             held += take
             pos += take
             if held == block_rows:
-                yield (
-                    pieces[0]
-                    if len(pieces) == 1
-                    else np.concatenate(pieces, axis=0)
-                )
+                yield block()
                 pieces, held = [], 0
     if held:
-        yield (
-            pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=0)
-        )
-
-
-def _rows_after(source: ScenarioSource, watermark: int) -> ScenarioSource:
-    """A ScenarioSource view of rows ``[watermark, len(source))``."""
-    if watermark == 0:
-        return source
-    new_since = getattr(source, "new_since", None)
-    if new_since is not None:
-        return new_since(watermark)
-    if isinstance(source, ScenarioDataset):
-        return ScenarioDataset(
-            shape=source.shape, scenarios=source.scenarios[watermark:]
-        )
-    from ..store.live import StoreSlice
-    from ..store.store import ShardedScenarioStore
-
-    if isinstance(source, ShardedScenarioStore):
-        return StoreSlice(source, watermark, len(source))
-    from ..cluster.source import ensure_dataset
-
-    dataset = ensure_dataset(source)
-    return ScenarioDataset(
-        shape=dataset.shape, scenarios=dataset.scenarios[watermark:]
-    )
+        yield block()
 
 
 def _scaler_drift(prev, kept: list[int], scaler: StandardScaler) -> float:
@@ -299,7 +297,7 @@ def refit(
     database=None,
     runtime=None,
     sample_capacity: int = DEFAULT_SAMPLE_CAPACITY,
-    max_scaler_drift: float = DEFAULT_MAX_SCALER_DRIFT,
+    max_scaler_drift: float | None = None,
     block_rows: int = REFIT_BLOCK_ROWS,
 ):
     """(Re)fit a FLARE model over *source*, reusing the metric spill.
@@ -331,12 +329,13 @@ def refit(
     trigger:
         Recorded in the lineage entry (defaults to ``"initial"`` /
         ``"manual"``).
+    max_scaler_drift:
+        Bound of the scaler-drift gate (``None``:
+        :data:`DEFAULT_MAX_SCALER_DRIFT`).
 
     Returns the new fitted :class:`~repro.core.Flare`, whose
     ``lineage`` extends ``prev.lineage`` by one entry.
     """
-    from ..store.metrics_store import MetricStore, MetricStoreWriter
-
     if mode not in ("auto", "full", "incremental"):
         raise ValueError(f"unknown refit mode {mode!r}")
     if prev is None and mode == "incremental":
@@ -345,17 +344,10 @@ def refit(
         if prev is None:
             raise ValueError("an initial fit needs an explicit config")
         config = prev.config
+    if max_scaler_drift is None:
+        max_scaler_drift = DEFAULT_MAX_SCALER_DRIFT
     cfg = config.analyzer
-    spill_path = pathlib.Path(spill_dir)
     n_total = len(source)
-    if n_total < 2:
-        raise ValueError("FLARE needs at least 2 scenarios to fit")
-    if cfg.weight_samples and n_total > sample_capacity:
-        raise ValueError(
-            "weight_samples=True needs every scenario inside the "
-            f"clustering sample, but the source has {n_total} rows and "
-            f"sample_capacity={sample_capacity}"
-        )
 
     incremental = prev is not None and mode != "full"
     if trigger is None:
@@ -382,240 +374,75 @@ def refit(
     else:
         watermark = 0
 
-    profiler = config.make_profiler(database=database)
-    names = tuple(spec.name for spec in profiler.specs)
-    started = time.perf_counter()
-
-    # Pass 1: profile the rows the spill does not cover yet.
-    with obs_span(
-        "flare.refit.profile",
-        n_scenarios=n_total,
-        n_new=n_total - watermark,
-    ):
-        resume_from = watermark
-        if watermark:
-            existing = MetricStore.open(spill_path)
-            # Every spill row is a pure function of its position (the
-            # noise stream is position-addressed), so a spill that a
-            # killed refit already extended past the watermark holds
-            # exactly the rows this run would re-write — accept it and
-            # profile only the remainder.  Anything outside
-            # [watermark, n_total] is from a different history.
-            if not watermark <= existing.n_rows <= n_total:
-                raise ValueError(
-                    f"metric spill at {spill_path} holds "
-                    f"{existing.n_rows} rows but the source covers "
-                    f"[{watermark}, {n_total}]; the spill must come "
-                    "from the previous fit of this source"
-                )
-            if tuple(existing.metric_names) != names:
-                raise ValueError(
-                    "metric spill was written under a different metric "
-                    "registry; refit with mode='full'"
-                )
-            resume_from = existing.n_rows
-        n_new = n_total - watermark
-        if watermark and resume_from == n_total:
-            metric_store = MetricStore.open(spill_path)
-        else:
-            if watermark:
-                writer = MetricStoreWriter.for_append(spill_path)
-            else:
-                writer = MetricStoreWriter(
-                    spill_path, names, overwrite=True
-                )
-            fresh = _rows_after(source, resume_from)
-            for batch in profiler.iter_profile(
-                fresh, runtime=runtime, noise_offset=resume_from
-            ):
-                writer.append(batch.matrix)
-            metric_store = writer.finalize()
-        if metric_store.n_rows != n_total:
-            raise ValueError(
-                f"spill holds {metric_store.n_rows} rows after "
-                f"profiling but the source has {n_total}"
-            )
-
-    # Pass 2: moments over fixed blocks → pruning + scaler.
-    with obs_span("flare.refit.refine"):
-        moments = RunningMoments()
-        for block in _iter_fixed_blocks(metric_store, block_rows):
-            moments.update(block)
-        report = prune_from_correlation(
-            moments.correlation(), threshold=config.refinement_threshold
-        )
-        kept = list(report.kept)
-        specs = tuple(profiler.specs[i] for i in kept)
-        scaler = StandardScaler.from_moments(
-            moments.mean[kept], moments.std(ddof=0)[kept], moments.n
-        )
-
+    # The scaler-drift gate runs between the scaler and the PCA: past
+    # the bound the warm start is unsound, and the refit re-fits the
+    # spill from scratch (sweep + seeded restarts, no re-profiling).
     drift = None
-    if incremental:
+
+    def scaler_gate(kept: list[int], scaler: StandardScaler) -> bool:
+        nonlocal drift, trigger
         drift = _scaler_drift(prev, kept, scaler)
-        if drift > max_scaler_drift:
-            if mode == "incremental":
-                raise RefitUnsoundError(
-                    f"standardisation drifted {drift:.3f} > "
-                    f"{max_scaler_drift} since the previous fit; the "
-                    "warm start is unsound — use mode='full'"
-                )
-            incremental = False
-            trigger = f"{trigger}+scaler-drift"
-
-    with obs_span("flare.refit.analyze", incremental=incremental):
-        # Pass 3: incremental PCA over standardised fixed blocks.
-        ipca = IncrementalPCA()
-        for block in _iter_fixed_blocks(metric_store, block_rows):
-            ipca.partial_fit(scaler.transform(block[:, kept]))
-        pca_result = ipca.finalize()
-        n_components = Analyzer(cfg)._select_components(pca_result)
-        components = pca_result.components[:n_components]
-
-        # Pass 4: score whitening statistics + clustering reservoir.
-        score_moments = RunningMoments()
-        sampler = ReservoirSampler(
-            sample_capacity, seed=np.random.default_rng(cfg.seed)
-        )
-        for block in _iter_fixed_blocks(metric_store, block_rows):
-            raw = scaler.transform(block[:, kept]) @ components.T
-            score_moments.update(raw)
-            sampler.update(raw)
-        score_mean = score_moments.mean
-        score_std = score_moments.std(ddof=0)
-        live = score_std > 1e-12 * np.maximum(1.0, np.abs(score_mean))
-
-        def whiten_rows(raw: np.ndarray) -> np.ndarray:
-            centred = raw - score_mean
-            out = np.zeros_like(centred)
-            out[:, live] = centred[:, live] / score_std[live]
-            return out
-
-        def score_batches():
-            for block in _iter_fixed_blocks(metric_store, block_rows):
-                yield whiten_rows(
-                    scaler.transform(block[:, kept]) @ components.T
-                )
-
-        sample_scores = whiten_rows(sampler.sample())
-        weights = source.weights() if cfg.weight_samples else None
-
-        # Pass 5: cluster — warm-started single run, or the full
-        # sweep + seeded restarts when no sound warm start exists.
-        sweep = None
-        init = None
-        if incremental:
-            chosen_k = prev.analysis.n_clusters
-            init = _warm_start_init(
-                prev, kept, scaler, components,
-                score_mean, score_std, moments.mean,
+        if drift <= max_scaler_drift:
+            return True
+        if mode == "incremental":
+            raise RefitUnsoundError(
+                f"standardisation drifted {drift:.3f} > "
+                f"{max_scaler_drift} since the previous fit; the "
+                "warm start is unsound — use mode='full'"
             )
-        elif cfg.n_clusters is not None:
-            chosen_k = cfg.n_clusters
-        else:
-            counts = tuple(
-                k for k in cfg.cluster_counts
-                if k <= sample_scores.shape[0]
-            )
-            if not counts:
-                raise ValueError(
-                    "no candidate cluster count fits the clustering "
-                    f"sample ({sample_scores.shape[0]} rows); raise "
-                    "sample_capacity or set n_clusters explicitly"
-                )
-            sweep = sweep_cluster_counts(
-                sample_scores,
-                counts,
-                kmeans_factory=Analyzer(cfg)._kmeans_factory,
-                sample_weight=weights,
-            )
-            knee = knee_point(
-                sweep.cluster_counts.astype(float), sweep.sse
-            )
-            chosen_k = int(sweep.cluster_counts[knee])
+        trigger = f"{trigger}+scaler-drift"
+        return False
 
-        streaming_kmeans = StreamingKMeans(
-            chosen_k,
-            n_init=cfg.kmeans_restarts,
-            max_iter=cfg.kmeans_max_iter,
-            seed=np.random.default_rng(cfg.seed),
-        )
-        kmeans_result: KMeansResult = streaming_kmeans.fit(
-            score_batches,
-            n_total=n_total,
-            sample=sample_scores,
-            sample_weight=weights,
-            init=init,
-        )
-        cluster_weights = kmeans_result.cluster_weights(
-            sample_weight=source.weights()
-        )
-
-        analysis = AnalysisResult(
-            refined=None,
-            scaler=scaler,
-            pca=pca_result,
-            n_components=n_components,
-            scores=None,
-            score_mean=score_mean,
-            score_std=score_std,
-            sweep=sweep,
-            kmeans=kmeans_result,
-            cluster_weights=cluster_weights,
-        )
-
-    with obs_span("flare.refit.representatives"):
-        assert streaming_kmeans.point_sq_distances_ is not None
-        representatives = representatives_from_assignments(
-            labels=kmeans_result.labels,
-            sq_distances=streaming_kmeans.point_sq_distances_,
-            centroids=kmeans_result.centroids,
-            cluster_weights=cluster_weights,
-            dataset=source,
-        )
-
-    wall_s = time.perf_counter() - started
-    flare = _assemble_flare(
-        config, database, source, analysis, report, specs, representatives
+    started = time.perf_counter()
+    fit, init = _fit_out_of_core(
+        source,
+        config,
+        pathlib.Path(spill_dir),
+        blocks=functools.partial(_iter_fixed_blocks, block_rows=block_rows),
+        k=prev.analysis.n_clusters if incremental else cfg.n_clusters,
+        warm_start=(
+            functools.partial(_warm_start_init, prev) if incremental else None
+        ),
+        scaler_gate=scaler_gate if incremental else None,
+        watermark=watermark,
+        database=database,
+        runtime=runtime,
+        sample_capacity=sample_capacity,
+        span_prefix="flare.refit",
     )
+    wall_s = time.perf_counter() - started
     from ..io.serialization import fitted_digest
 
-    parent_digest = None if prev is None else fitted_digest(prev)
-    if prev is None:
-        generation = 0
-    elif prev.lineage:
-        generation = prev.lineage[-1].generation + 1
-    else:
-        generation = 1
+    incremental = init is not None
+    n_new = n_total - watermark
+    flare = Flare(config, database=database)._adopt(source, fit)
     entry = ModelLineage(
-        generation=generation,
+        generation=(
+            0
+            if prev is None
+            else prev.lineage[-1].generation + 1 if prev.lineage else 1
+        ),
         kind="incremental" if incremental else "full",
         trigger=trigger,
-        parent_digest=parent_digest,
+        parent_digest=None if prev is None else fitted_digest(prev),
         source_digest=source.digest(),
         n_scenarios=n_total,
         n_new_rows=n_new,
     )
-    flare.lineage = (
-        (() if prev is None else prev.lineage) + (entry,)
+    flare.lineage = (() if prev is None else prev.lineage) + (entry,)
+    flare._refit_plan = RefitPlan(
+        k=int(fit.analysis.n_clusters),
+        init=init,
+        block_rows=int(block_rows),
+        sample_capacity=int(sample_capacity),
     )
-    # Everything a deterministic replay of this exact fit needs (see
-    # load_model): the chosen k and the already-mapped warm-start
-    # centroids — JSON round-trips doubles exactly, so a replay passes
-    # bit-identical init into the same fixed-block pipeline.
-    flare._refit_plan = {
-        "k": int(chosen_k),
-        "init": None if init is None else np.asarray(init, dtype=np.float64),
-        "block_rows": int(block_rows),
-        "sample_capacity": int(sample_capacity),
-    }
     metrics = {
         "n_scenarios": float(n_total),
         "n_new_rows": float(n_new),
-        "n_clusters": float(analysis.n_clusters),
-        "n_components": float(analysis.n_components),
+        "n_clusters": float(fit.analysis.n_clusters),
+        "n_components": float(fit.analysis.n_components),
         "sse_per_scenario": float(
-            representatives.baseline.sse_per_scenario
+            fit.representatives.baseline.sse_per_scenario
         ),
         "wall_s": float(wall_s),
     }
@@ -637,164 +464,47 @@ def refit(
 def replay_refit(
     source: ScenarioSource,
     config,
-    plan: dict[str, Any],
+    plan: "RefitPlan | dict[str, Any]",
     *,
     spill_dir,
     database=None,
     runtime=None,
 ):
-    """Reproduce a refit-path model from its serialised plan.
+    """Reproduce a refit-path model from its :class:`RefitPlan`.
 
-    Used by :func:`~repro.io.serialization.load_model` for models whose
-    lineage says they came through the refit pipeline: a plain
-    ``Flare.fit`` folds statistics per shard, not per fixed block, so
-    it differs from the refit at ~1e-12 and cannot verify the digest.
-    Replaying profiles everything into a fresh spill (bit-identical to
-    the original by noise-stream construction) and re-runs the
-    fixed-block passes with the recorded cluster count and warm-start
-    centroids.  The sweep is skipped — it never touches the final
-    clustering's RNG stream, so fitting the recorded k directly
+    *plan* may also be the plan's ``to_dict`` form.  Used by :func:`~repro.io.serialization.load_model` for
+    models whose lineage says they came through the refit pipeline: a
+    plain ``Flare.fit`` folds statistics per shard, not per fixed
+    block, so it differs from the refit at ~1e-12 and cannot verify the
+    digest.  Replaying profiles everything into a fresh spill
+    (bit-identical to the original by noise-stream construction) and
+    re-runs the fixed-block passes with the recorded cluster count and
+    warm-start centroids.  The sweep is skipped — it never touches the
+    final clustering's RNG stream, so fitting the recorded k directly
     reproduces the model bit for bit.
     """
-    init = plan.get("init")
-    flare = _replay(
+    if not isinstance(plan, RefitPlan):
+        plan = RefitPlan.from_dict(plan)
+    init = plan.init
+    fit, _ = _fit_out_of_core(
         source,
         config,
-        spill_dir=spill_dir,
-        k=int(plan["k"]),
-        init=None if init is None else np.asarray(init, dtype=np.float64),
-        block_rows=int(plan.get("block_rows", REFIT_BLOCK_ROWS)),
-        sample_capacity=int(
-            plan.get("sample_capacity", DEFAULT_SAMPLE_CAPACITY)
+        pathlib.Path(spill_dir),
+        blocks=functools.partial(
+            _iter_fixed_blocks, block_rows=plan.block_rows
         ),
+        k=plan.k,
+        warm_start=None if init is None else (lambda *_: init),
         database=database,
         runtime=runtime,
+        sample_capacity=plan.sample_capacity,
+        span_prefix="flare.refit",
     )
+    flare = Flare(config, database=database)._adopt(source, fit)
     # The replayed model keeps its own plan so it round-trips through
     # save_model / the fleet journal exactly like the original.
-    flare._refit_plan = {
-        "k": int(plan["k"]),
-        "init": (
-            None if init is None else np.asarray(init, dtype=np.float64)
-        ),
-        "block_rows": int(plan.get("block_rows", REFIT_BLOCK_ROWS)),
-        "sample_capacity": int(
-            plan.get("sample_capacity", DEFAULT_SAMPLE_CAPACITY)
-        ),
-    }
+    flare._refit_plan = plan
     return flare
-
-
-def _replay(
-    source,
-    config,
-    *,
-    spill_dir,
-    k,
-    init,
-    block_rows,
-    sample_capacity,
-    database,
-    runtime,
-):
-    from ..store.metrics_store import MetricStoreWriter
-
-    cfg = config.analyzer
-    profiler = config.make_profiler(database=database)
-    n_total = len(source)
-    writer = MetricStoreWriter(
-        pathlib.Path(spill_dir),
-        tuple(spec.name for spec in profiler.specs),
-        overwrite=True,
-    )
-    for batch in profiler.iter_profile(source, runtime=runtime):
-        writer.append(batch.matrix)
-    metric_store = writer.finalize()
-
-    moments = RunningMoments()
-    for block in _iter_fixed_blocks(metric_store, block_rows):
-        moments.update(block)
-    report = prune_from_correlation(
-        moments.correlation(), threshold=config.refinement_threshold
-    )
-    kept = list(report.kept)
-    specs = tuple(profiler.specs[i] for i in kept)
-    scaler = StandardScaler.from_moments(
-        moments.mean[kept], moments.std(ddof=0)[kept], moments.n
-    )
-    ipca = IncrementalPCA()
-    for block in _iter_fixed_blocks(metric_store, block_rows):
-        ipca.partial_fit(scaler.transform(block[:, kept]))
-    pca_result = ipca.finalize()
-    n_components = Analyzer(cfg)._select_components(pca_result)
-    components = pca_result.components[:n_components]
-
-    score_moments = RunningMoments()
-    sampler = ReservoirSampler(
-        sample_capacity, seed=np.random.default_rng(cfg.seed)
-    )
-    for block in _iter_fixed_blocks(metric_store, block_rows):
-        raw = scaler.transform(block[:, kept]) @ components.T
-        score_moments.update(raw)
-        sampler.update(raw)
-    score_mean = score_moments.mean
-    score_std = score_moments.std(ddof=0)
-    live = score_std > 1e-12 * np.maximum(1.0, np.abs(score_mean))
-
-    def whiten_rows(raw):
-        centred = raw - score_mean
-        out = np.zeros_like(centred)
-        out[:, live] = centred[:, live] / score_std[live]
-        return out
-
-    def score_batches():
-        for block in _iter_fixed_blocks(metric_store, block_rows):
-            yield whiten_rows(
-                scaler.transform(block[:, kept]) @ components.T
-            )
-
-    sample_scores = whiten_rows(sampler.sample())
-    weights = source.weights() if cfg.weight_samples else None
-
-    streaming_kmeans = StreamingKMeans(
-        k,
-        n_init=cfg.kmeans_restarts,
-        max_iter=cfg.kmeans_max_iter,
-        seed=np.random.default_rng(cfg.seed),
-    )
-    kmeans_result = streaming_kmeans.fit(
-        score_batches,
-        n_total=n_total,
-        sample=sample_scores,
-        sample_weight=weights,
-        init=init,
-    )
-    cluster_weights = kmeans_result.cluster_weights(
-        sample_weight=source.weights()
-    )
-    analysis = AnalysisResult(
-        refined=None,
-        scaler=scaler,
-        pca=pca_result,
-        n_components=n_components,
-        scores=None,
-        score_mean=score_mean,
-        score_std=score_std,
-        sweep=None,
-        kmeans=kmeans_result,
-        cluster_weights=cluster_weights,
-    )
-    assert streaming_kmeans.point_sq_distances_ is not None
-    representatives = representatives_from_assignments(
-        labels=kmeans_result.labels,
-        sq_distances=streaming_kmeans.point_sq_distances_,
-        centroids=kmeans_result.centroids,
-        cluster_weights=cluster_weights,
-        dataset=source,
-    )
-    return _assemble_flare(
-        config, database, source, analysis, report, specs, representatives
-    )
 
 
 @dataclass(frozen=True)
@@ -868,8 +578,6 @@ def watch(
     from ..store.metrics_store import MetricStore
     from ..store.store import StoreError
 
-    if max_scaler_drift is None:
-        max_scaler_drift = DEFAULT_MAX_SCALER_DRIFT
     spill_path = pathlib.Path(spill_dir)
     covered = int(model.analysis.labels.shape[0])
     try:
@@ -964,28 +672,3 @@ def watch(
             report=report,
         )
 
-
-def _assemble_flare(
-    config, database, source, analysis, report, specs, representatives
-):
-    """Populate a Flare exactly the way ``Flare._fit_streaming`` does."""
-    from .pipeline import Flare, _catalogue_from
-    from .replayer import Replayer
-
-    flare = Flare(config, database=database)
-    flare._streaming = True
-    flare._analysis = analysis
-    flare._prune_report = report
-    flare._representatives = representatives
-    flare._interpretations = interpret_components(
-        analysis.pca,
-        specs,
-        n_components=analysis.n_components,
-        top_n=config.interpretation_top_n,
-    )
-    flare._replayer = Replayer(
-        source.shape,
-        catalogue=_catalogue_from(source),
-        memo=config.memo if config.memo != "off" else None,
-    )
-    return flare

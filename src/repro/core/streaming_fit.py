@@ -5,26 +5,29 @@ profiled metric matrix, its standardised copy, and the whitened PC
 scores.  For a store-backed source (:mod:`repro.store`) none of those
 may be materialised — peak memory must stay bounded by the shard size.
 This module runs the same standardise → prune → PCA → whiten → cluster
-sequence as :class:`~repro.core.analyzer.Analyzer` in multiple passes:
+sequence as :class:`~repro.core.analyzer.Analyzer` in passes over an
+on-disk :class:`~repro.store.MetricStore` spill:
 
-1. **Profile & accumulate** — scenarios are profiled shard-by-shard
+1. **Profile** — scenarios are profiled shard-by-shard
    (:meth:`Profiler.iter_profile`, optionally fanned out over an
-   executor and resumable via the checkpoint journal); each metric
-   batch is spilled to an on-disk :class:`~repro.store.MetricStore`
-   and folded into :class:`~repro.stats.RunningMoments`.
-2. **Prune & standardise** — the streamed correlation matrix drives
-   the same pruning as :func:`~repro.stats.prune_from_correlation`;
-   the scaler comes from the streamed moments
-   (:meth:`StandardScaler.from_moments`).
+   executor) and each metric batch is appended to the spill.
+2. **Prune & standardise** — streamed moments give the correlation
+   matrix behind :func:`~repro.stats.prune_from_correlation` and the
+   scaler (:meth:`StandardScaler.from_moments`).
 3. **PCA** — :class:`~repro.stats.IncrementalPCA` over standardised
-   shard batches re-read (memory-mapped) from the spill store.
-4. **Score statistics** — a third pass projects each shard into PC
-   space, accumulating the whitening statistics and a seeded uniform
-   :class:`~repro.stats.ReservoirSampler` of raw scores.
+   spill blocks, re-read memory-mapped.
+4. **Score statistics** — whitening statistics and a seeded
+   :class:`~repro.stats.ReservoirSampler` of raw PC scores.
 5. **Cluster** — :class:`~repro.stats.StreamingKMeans` seeded on the
-   whitened sample, refined with full-data Lloyd passes; its final
-   labelling pass yields per-row assignments and distances, from which
-   representatives are ranked without a resident score matrix.
+   whitened sample (after the k-sweep, at a fixed k, or from warm-start
+   centroids) and refined with full-data Lloyd passes, whose per-row
+   assignments and distances rank the representatives.
+
+The passes exist once, in :func:`_fit_out_of_core`.  Its callers differ
+only in the blocks the statistics fold over and in how the clustering
+starts: :func:`streaming_fit` (``Flare.fit`` on a store) folds one block
+per spill shard; :mod:`repro.core.refit` folds fixed-size blocks and
+may warm-start from a previous model.
 
 Equivalence contract: every accumulated statistic matches the
 in-memory computation to ~1e-12 relative (the streaming-moments merge
@@ -32,7 +35,7 @@ tolerance), and while the dataset fits inside the reservoir sample the
 clustering itself collapses to the exact in-memory k-means — so smoke
 datasets produce identical cluster assignments through either path,
 and results are bit-identical across executors and batch sizes for a
-fixed path.
+fixed blocking.
 """
 
 from __future__ import annotations
@@ -40,13 +43,15 @@ from __future__ import annotations
 import pathlib
 import tempfile
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
+from ..cluster.scenario import ScenarioDataset
 from ..cluster.source import ScenarioSource
 from ..obs import span as obs_span
 from ..stats.correlation import PruneReport, prune_from_correlation
-from ..stats.kmeans import KMeansResult, StreamingKMeans
+from ..stats.kmeans import StreamingKMeans
 from ..stats.pca import IncrementalPCA
 from ..stats.preprocessing import StandardScaler
 from ..stats.silhouette import knee_point, sweep_cluster_counts
@@ -69,12 +74,12 @@ DEFAULT_SAMPLE_CAPACITY = 4096
 
 @dataclass(frozen=True)
 class StreamingFit:
-    """Everything an out-of-core fit produces.
+    """Everything a fit produces (what ``Flare._adopt`` installs).
 
-    ``analysis`` mirrors the in-memory :class:`AnalysisResult` with
-    ``refined=None`` and ``scores=None`` — the matrices that were never
-    materialised; ``report`` and ``specs`` carry the pruning provenance
-    those fields would otherwise hold.
+    From an out-of-core fit, ``analysis`` mirrors the in-memory
+    :class:`AnalysisResult` with ``refined=None`` and ``scores=None`` —
+    the matrices that were never materialised; ``report`` and ``specs``
+    carry the pruning provenance those fields would otherwise hold.
     """
 
     analysis: AnalysisResult
@@ -90,11 +95,12 @@ def streaming_fit(
     *,
     database: Database | None = None,
     runtime=None,
-    executor=None,
-    spill_dir=None,
     sample_capacity: int = DEFAULT_SAMPLE_CAPACITY,
 ) -> StreamingFit:
     """Fit FLARE steps 1–3 over *source* at shard-bounded memory.
+
+    The metric spill lives in a temporary directory removed when
+    fitting ends; statistics fold one block per spill shard.
 
     Parameters
     ----------
@@ -103,80 +109,163 @@ def streaming_fit(
         the same knobs drive both fitting paths.
     runtime:
         Optional :class:`~repro.runtime.RuntimeConfig` (or executor /
-        spec string) fanning the profiling pass out; the legacy
-        ``executor=`` keyword still works with a
-        ``DeprecationWarning``.
-    spill_dir:
-        Directory for the intermediate metric store.  ``None`` (the
-        default) uses a temporary directory removed when fitting ends;
-        passing a path keeps the spilled metrics for inspection.
+        spec string) fanning the profiling pass out.
     sample_capacity:
         Reservoir size for clustering initialisation; see
         :data:`DEFAULT_SAMPLE_CAPACITY`.
     """
-    from .._deprecations import resolve_renamed_kwarg
-    from ..store.metrics_store import MetricStoreWriter
-
-    runtime = resolve_renamed_kwarg(
-        runtime,
-        executor,
-        owner="streaming_fit",
-        old_name="executor",
-        new_name="runtime",
-        required=False,
-    )
-    cfg = config.analyzer
-    if cfg.weight_samples and len(source) > sample_capacity:
-        raise ValueError(
-            "weight_samples=True needs every scenario inside the "
-            f"clustering sample, but the source has {len(source)} rows "
-            f"and sample_capacity={sample_capacity}; raise the capacity "
-            "or fit in memory"
+    with tempfile.TemporaryDirectory(prefix="repro-metrics-") as tmp:
+        fit, _ = _fit_out_of_core(
+            source,
+            config,
+            pathlib.Path(tmp),
+            blocks=lambda metric_store: metric_store.iter_matrices(),
+            k=config.analyzer.n_clusters,
+            database=database,
+            runtime=runtime,
+            sample_capacity=sample_capacity,
+            span_attrs={"streaming": True},
         )
+    return fit
 
-    if spill_dir is None:
-        with tempfile.TemporaryDirectory(prefix="repro-metrics-") as tmp:
-            return _streaming_fit(
-                source, config, pathlib.Path(tmp), MetricStoreWriter,
-                database=database, runtime=runtime,
-                sample_capacity=sample_capacity,
-            )
-    return _streaming_fit(
-        source, config, pathlib.Path(spill_dir), MetricStoreWriter,
-        database=database, runtime=runtime,
-        sample_capacity=sample_capacity,
+
+def _rows_after(source: ScenarioSource, watermark: int) -> ScenarioSource:
+    """A ScenarioSource view of rows ``[watermark, len(source))``."""
+    if watermark == 0:
+        return source
+    new_since = getattr(source, "new_since", None)
+    if new_since is not None:
+        return new_since(watermark)
+    from ..store.live import StoreSlice
+    from ..store.store import ShardedScenarioStore
+
+    if isinstance(source, ShardedScenarioStore):
+        return StoreSlice(source, watermark, len(source))
+    from ..cluster.source import ensure_dataset
+
+    dataset = ensure_dataset(source)
+    return ScenarioDataset(
+        shape=dataset.shape, scenarios=dataset.scenarios[watermark:]
     )
 
 
-def _streaming_fit(
+def _profile_spill(profiler, source, spill_path, *, runtime, watermark):
+    """Profile the rows of *source* that the spill does not hold yet.
+
+    ``watermark=0`` writes a fresh spill; otherwise the spill must hold
+    at least the first *watermark* rows of *source* and is extended in
+    append mode with the noise stream advanced past what it holds.
+    """
+    from ..store.metrics_store import MetricStore, MetricStoreWriter
+
+    n_total = len(source)
+    names = tuple(spec.name for spec in profiler.specs)
+    resume_from = watermark
+    if watermark:
+        existing = MetricStore.open(spill_path)
+        # Every spill row is a pure function of its position (the
+        # noise stream is position-addressed), so a spill that a
+        # killed refit already extended past the watermark holds
+        # exactly the rows this run would re-write — accept it and
+        # profile only the remainder.  Anything outside
+        # [watermark, n_total] is from a different history.
+        if not watermark <= existing.n_rows <= n_total:
+            raise ValueError(
+                f"metric spill at {spill_path} holds "
+                f"{existing.n_rows} rows but the source covers "
+                f"[{watermark}, {n_total}]; the spill must come "
+                "from the previous fit of this source"
+            )
+        if tuple(existing.metric_names) != names:
+            raise ValueError(
+                "metric spill was written under a different metric "
+                "registry; refit with mode='full'"
+            )
+        resume_from = existing.n_rows
+    if watermark and resume_from == n_total:
+        metric_store = existing
+    else:
+        writer = (
+            MetricStoreWriter.for_append(spill_path)
+            if watermark
+            else MetricStoreWriter(spill_path, names, overwrite=True)
+        )
+        for batch in profiler.iter_profile(
+            _rows_after(source, resume_from),
+            runtime=runtime,
+            noise_offset=resume_from,
+        ):
+            writer.append(batch.matrix)
+        metric_store = writer.finalize()
+    if metric_store.n_rows != n_total:
+        raise ValueError(
+            f"spill holds {metric_store.n_rows} rows after "
+            f"profiling but the source has {n_total}"
+        )
+    return metric_store
+
+
+def _fit_out_of_core(
     source: ScenarioSource,
     config,
     spill_path: pathlib.Path,
-    writer_cls,
     *,
-    database,
-    runtime,
-    sample_capacity: int,
-) -> StreamingFit:
+    blocks: Callable[..., Iterator[np.ndarray]],
+    k: int | None,
+    warm_start: Callable[..., np.ndarray] | None = None,
+    scaler_gate: Callable[[list[int], StandardScaler], bool] | None = None,
+    watermark: int = 0,
+    database: Database | None = None,
+    runtime=None,
+    sample_capacity: int = DEFAULT_SAMPLE_CAPACITY,
+    span_prefix: str = "flare",
+    span_attrs: dict | None = None,
+) -> tuple[StreamingFit, np.ndarray | None]:
+    """The out-of-core passes: profile, prune, PCA, whiten, cluster, rank.
+
+    ``blocks(metric_store)`` yields the spill as the row blocks every
+    statistic folds over; the blocking fixes the result's bits.  ``k``
+    is the cluster count (``None``: the sweep on the clustering sample).
+    ``warm_start(kept, scaler, components, score_mean, score_std,
+    metric_mean)`` gives initial centroids in whitened score space.
+    ``scaler_gate(kept, scaler)`` runs before the PCA; returning False
+    drops the warm start and falls back to the config's ``n_clusters``
+    (or the sweep).  ``watermark`` is the rows of *source* the spill
+    already holds.  Stage spans are ``{span_prefix}.profile`` etc.,
+    each carrying *span_attrs*.
+
+    Returns the fit and its warm-start centroids (``None`` when cold).
+    """
     cfg = config.analyzer
-    profiler = config.make_profiler(database=database)
     n_total = len(source)
-
-    # Pass 1: profile shard-by-shard; spill metric rows, fold moments.
-    with obs_span("flare.profile", streaming=True, n_scenarios=n_total):
-        writer = writer_cls(
-            spill_path,
-            tuple(spec.name for spec in profiler.specs),
-            overwrite=True,
+    if n_total < 2:
+        raise ValueError("FLARE needs at least 2 scenarios to fit")
+    if cfg.weight_samples and n_total > sample_capacity:
+        raise ValueError(
+            "weight_samples=True needs every scenario inside the "
+            f"clustering sample, but the source has {n_total} rows "
+            f"and sample_capacity={sample_capacity}; raise the capacity "
+            "or fit in memory"
         )
-        moments = RunningMoments()
-        for batch in profiler.iter_profile(source, runtime=runtime):
-            writer.append(batch.matrix)
-            moments.update(batch.matrix)
-        metric_store = writer.finalize()
+    attrs = dict(span_attrs or {})
+    profiler = config.make_profiler(database=database)
 
-    # Prune + scaler from the streamed statistics alone.
-    with obs_span("flare.refine", streaming=True):
+    # Pass 1: profile the rows the spill does not hold yet.
+    with obs_span(
+        f"{span_prefix}.profile",
+        n_scenarios=n_total,
+        n_new=n_total - watermark,
+        **attrs,
+    ):
+        metric_store = _profile_spill(
+            profiler, source, spill_path, runtime=runtime, watermark=watermark
+        )
+
+    # Pass 2: moments → pruning + scaler.
+    with obs_span(f"{span_prefix}.refine", **attrs):
+        moments = RunningMoments()
+        for block in blocks(metric_store):
+            moments.update(block)
         report = prune_from_correlation(
             moments.correlation(), threshold=config.refinement_threshold
         )
@@ -186,22 +275,34 @@ def _streaming_fit(
             moments.mean[kept], moments.std(ddof=0)[kept], moments.n
         )
 
-    with obs_span("flare.analyze", streaming=True):
-        # Pass 2: incremental PCA over standardised shard batches.
+    if (
+        warm_start is not None
+        and scaler_gate is not None
+        and not scaler_gate(kept, scaler)
+    ):
+        k, warm_start = cfg.n_clusters, None
+
+    with obs_span(
+        f"{span_prefix}.analyze", incremental=warm_start is not None, **attrs
+    ):
+        # Pass 3: incremental PCA over standardised blocks.
         ipca = IncrementalPCA()
-        for matrix in metric_store.iter_matrices():
-            ipca.partial_fit(scaler.transform(matrix[:, kept]))
+        for block in blocks(metric_store):
+            ipca.partial_fit(scaler.transform(block[:, kept]))
         pca_result = ipca.finalize()
         n_components = Analyzer(cfg)._select_components(pca_result)
         components = pca_result.components[:n_components]
 
-        # Pass 3: score whitening statistics + clustering reservoir.
+        # Pass 4: score whitening statistics + clustering reservoir.
         score_moments = RunningMoments()
         sampler = ReservoirSampler(
             sample_capacity, seed=np.random.default_rng(cfg.seed)
         )
-        for matrix in metric_store.iter_matrices():
-            raw = scaler.transform(matrix[:, kept]) @ components.T
+        def raw_scores(block: np.ndarray) -> np.ndarray:
+            return scaler.transform(block[:, kept]) @ components.T
+
+        for block in blocks(metric_store):
+            raw = raw_scores(block)
             score_moments.update(raw)
             sampler.update(raw)
         score_mean = score_moments.mean
@@ -215,24 +316,24 @@ def _streaming_fit(
             return out
 
         def score_batches():
-            for matrix in metric_store.iter_matrices():
-                yield whiten_rows(
-                    scaler.transform(matrix[:, kept]) @ components.T
-                )
+            for block in blocks(metric_store):
+                yield whiten_rows(raw_scores(block))
 
         sample_scores = whiten_rows(sampler.sample())
         weights = source.weights() if cfg.weight_samples else None
 
-        # Cluster-count sweep runs on the sample: exact while the
-        # sample holds every row, the documented approximation beyond.
+        # Pass 5: cluster — warm start, fixed k, or the sweep on the
+        # sample (exact while the sample holds every row, the
+        # documented approximation beyond).
+        init = None
+        if warm_start is not None:
+            init = warm_start(
+                kept, scaler, components, score_mean, score_std, moments.mean
+            )
         sweep = None
-        if cfg.n_clusters is not None:
-            chosen_k = cfg.n_clusters
-        else:
+        if k is None:
             counts = tuple(
-                k
-                for k in cfg.cluster_counts
-                if k <= sample_scores.shape[0]
+                c for c in cfg.cluster_counts if c <= sample_scores.shape[0]
             )
             if not counts:
                 raise ValueError(
@@ -247,24 +348,24 @@ def _streaming_fit(
                 sample_weight=weights,
             )
             knee = knee_point(sweep.cluster_counts.astype(float), sweep.sse)
-            chosen_k = int(sweep.cluster_counts[knee])
+            k = int(sweep.cluster_counts[knee])
 
         streaming_kmeans = StreamingKMeans(
-            chosen_k,
+            k,
             n_init=cfg.kmeans_restarts,
             max_iter=cfg.kmeans_max_iter,
             seed=np.random.default_rng(cfg.seed),
         )
-        kmeans_result: KMeansResult = streaming_kmeans.fit(
+        kmeans_result = streaming_kmeans.fit(
             score_batches,
             n_total=n_total,
             sample=sample_scores,
             sample_weight=weights,
+            init=init,
         )
         cluster_weights = kmeans_result.cluster_weights(
             sample_weight=source.weights()
         )
-
         analysis = AnalysisResult(
             refined=None,
             scaler=scaler,
@@ -278,7 +379,7 @@ def _streaming_fit(
             cluster_weights=cluster_weights,
         )
 
-    with obs_span("flare.representatives", streaming=True):
+    with obs_span(f"{span_prefix}.representatives", **attrs):
         assert streaming_kmeans.point_sq_distances_ is not None
         representatives = representatives_from_assignments(
             labels=kmeans_result.labels,
@@ -288,10 +389,11 @@ def _streaming_fit(
             dataset=source,
         )
 
-    return StreamingFit(
+    fit = StreamingFit(
         analysis=analysis,
         report=report,
         specs=specs,
         representatives=representatives,
         n_scenarios=n_total,
     )
+    return fit, init

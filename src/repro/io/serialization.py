@@ -361,17 +361,8 @@ def save_model(flare: Flare, path) -> None:
     # config alone, so load_model replays the plan instead of re-fitting.
     if flare.lineage:
         payload["lineage"] = [entry.to_dict() for entry in flare.lineage]
-        plan = flare._refit_plan
-        if plan is not None:
-            init = plan.get("init")
-            payload["refit_plan"] = {
-                "k": int(plan["k"]),
-                # JSON round-trips Python floats exactly, so the replay
-                # warm-starts from bit-identical centroids.
-                "init": None if init is None else np.asarray(init).tolist(),
-                "block_rows": int(plan["block_rows"]),
-                "sample_capacity": int(plan["sample_capacity"]),
-            }
+        if flare._refit_plan is not None:
+            payload["refit_plan"] = flare._refit_plan.to_dict()
     # Fit-time health statistics ride along so the artefact documents
     # what the model looked like when it was trusted; the drift monitor
     # scores later scenario streams against exactly these numbers.
