@@ -13,16 +13,15 @@ its normalised HP performance versus the baseline configuration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 from ..cluster.scenario import Scenario
-from ..perfmodel.batch import solve_colocation_many
+from ..perfmodel import batch as _batch
 from ..perfmodel.contention import (
     ColocationPerformance,
     RunningInstance,
+    _SolveCache,
     solve_colocation_cached,
 )
 from ..perfmodel.machine import MachinePerf
@@ -30,14 +29,18 @@ from ..perfmodel.signatures import JobSignature
 
 __all__ = [
     "inherent_mips",
+    "inherent_mips_many",
+    "hp_performance",
     "ScenarioPerformance",
     "scenario_performance",
     "scenario_performance_many",
     "mips_reduction_pct",
 ]
 
+#: ``(machine, signature, load) -> inherent MIPS``, LRU-bounded.
+_INHERENT_CACHE = _SolveCache(maxsize=4096)
 
-@lru_cache(maxsize=4096)
+
 def inherent_mips(
     machine: MachinePerf, signature: JobSignature, load: float
 ) -> float:
@@ -45,11 +48,58 @@ def inherent_mips(
 
     Normalising at the instance's own submitted load isolates interference
     effects from demand effects: a half-loaded server is not "degraded".
+    Memoised per ``(machine, signature, load)``; ``cache_clear()`` and
+    ``cache_info()`` manage the memo as for ``functools.lru_cache``.
     """
-    solution = solve_colocation_cached(
-        machine, (RunningInstance(signature=signature, load=load),)
+    return inherent_mips_many(machine, [(signature, load)])[0]
+
+
+inherent_mips.cache_clear = _INHERENT_CACHE.clear  # type: ignore[attr-defined]
+inherent_mips.cache_info = _INHERENT_CACHE.info  # type: ignore[attr-defined]
+
+
+def inherent_mips_many(
+    machine: MachinePerf, pairs: Sequence[tuple[JobSignature, float]]
+) -> list[float]:
+    """:func:`inherent_mips` of each ``(signature, load)`` in *pairs*.
+
+    Each pair is looked up in the memo, and the distinct pairs it lacks
+    are solved together as one one-instance-per-row batch (a repeat of
+    a missing pair counts as a hit, as it would one call at a time);
+    rows are independent, so each value is bit-identical to a solve of
+    its own.
+    """
+    values: list[float | None] = []
+    missing: dict[tuple, list[int]] = {}
+    for i, (signature, load) in enumerate(pairs):
+        key = (machine, signature, load)
+        value = _INHERENT_CACHE.lookup(key)
+        values.append(value)
+        if value is not None:
+            continue
+        rows = missing.get(key)
+        if rows is None:
+            missing[key] = [i]
+        else:
+            rows.append(i)
+            _INHERENT_CACHE.count_pending_hit()
+    if missing:
+        solved = _solve_inherent(machine, [key[1:] for key in missing])
+        for (key, rows), value in zip(missing.items(), solved):
+            _INHERENT_CACHE.store(key, value)
+            for row in rows:
+                values[row] = value
+    return values  # type: ignore[return-value]
+
+
+def _solve_inherent(
+    machine: MachinePerf, pairs: Sequence[tuple[JobSignature, float]]
+) -> list[float]:
+    """Solve each ``(signature, load)`` alone on *machine*, as one batch."""
+    batch = _batch.ScenarioBatch.from_instances(
+        [(RunningInstance(signature=sig, load=load),) for sig, load in pairs]
     )
-    return solution.instances[0].mips
+    return _batch.solve_colocation_lanes(machine, batch).mips[:, 0].tolist()
 
 
 @dataclass(frozen=True)
@@ -95,7 +145,7 @@ def scenario_performance(
     """
     norm_machine = normalize_machine if normalize_machine is not None else machine
     solution = solve_colocation_cached(machine, scenario.instances)
-    return _performance_from_solution(solution, scenario, norm_machine)
+    return _performance_from_solutions([solution], [scenario], norm_machine)[0]
 
 
 def scenario_performance_many(
@@ -111,47 +161,74 @@ def scenario_performance_many(
     scenario, and bit-identical to doing so: the contention fixed point
     runs through :func:`repro.perfmodel.batch.solve_colocation_many`
     (respecting the shared solve cache — hits are reused, misses solved
-    as one batch), and the inherent-MIPS normalisers go through the
-    same per-signature cache.  *memo* optionally routes solves through
-    a persistent content-addressed
+    as one batch), and the normalisers the inherent-MIPS memo lacks
+    are solved as one more batch.  *memo* optionally routes solves
+    through a persistent content-addressed
     :class:`~repro.perfmodel.memo.SolveMemo` so hits survive across
     batches, processes, and runs.
     """
     norm_machine = normalize_machine if normalize_machine is not None else machine
-    solutions = solve_colocation_many(
+    solutions = _batch.solve_colocation_many(
         machine,
         [scenario.instances for scenario in scenarios],
         cached=True,
         memo=memo,
     )
-    return tuple(
-        _performance_from_solution(solution, scenario, norm_machine)
-        for solution, scenario in zip(solutions, scenarios)
-    )
+    return _performance_from_solutions(solutions, scenarios, norm_machine)
 
 
-def _performance_from_solution(
-    solution: ColocationPerformance,
-    scenario: Scenario,
+def _performance_from_solutions(
+    solutions: Sequence[ColocationPerformance],
+    scenarios: Sequence[Scenario],
     norm_machine: MachinePerf,
-) -> ScenarioPerformance:
-    """Normalise a solved co-location into a :class:`ScenarioPerformance`."""
-    per_instance: list[float] = []
-    per_job_acc: dict[str, list[float]] = {}
-    for running, perf in zip(scenario.instances, solution.instances):
-        if not perf.is_high_priority:
-            continue
-        inherent = inherent_mips(norm_machine, running.signature, running.load)
-        normalised = perf.mips / inherent if inherent > 0 else 0.0
-        per_instance.append(normalised)
-        per_job_acc.setdefault(perf.job_name, []).append(normalised)
+) -> tuple[ScenarioPerformance, ...]:
+    """Normalise solved co-locations into :class:`ScenarioPerformance`s."""
+    hp_lanes = [
+        [
+            (running, perf)
+            for running, perf in zip(scenario.instances, solution.instances)
+            if perf.is_high_priority
+        ]
+        for solution, scenario in zip(solutions, scenarios)
+    ]
+    inherent = iter(
+        inherent_mips_many(
+            norm_machine,
+            [(running.signature, running.load) for lanes in hp_lanes for running, _ in lanes],
+        )
+    )
+    performances = []
+    for lanes in hp_lanes:
+        normalised = []
+        for _, perf in lanes:
+            value = next(inherent)
+            normalised.append(perf.mips / value if value > 0 else 0.0)
+        performances.append(
+            hp_performance(normalised, [perf.job_name for _, perf in lanes])
+        )
+    return tuple(performances)
 
+
+def hp_performance(
+    normalised: list[float], job_names: Sequence[str]
+) -> ScenarioPerformance:
+    """Reduce one scenario's normalised HP lanes, given in lane order.
+
+    The one reduction every caller shares: plain Python
+    ``sum(...) / len(...)`` over the lane-ordered values, overall and
+    per job.  Python's float ``sum`` differs between 3.11 and 3.12
+    (3.12 compensates), so bit-identity across callers holds only if
+    they all reduce here.
+    """
+    per_job_acc: dict[str, list[float]] = {}
+    for name, value in zip(job_names, normalised):
+        per_job_acc.setdefault(name, []).append(value)
     per_job = {
         name: sum(values) / len(values) for name, values in per_job_acc.items()
     }
-    overall = sum(per_instance) / len(per_instance) if per_instance else 0.0
+    overall = sum(normalised) / len(normalised) if normalised else 0.0
     return ScenarioPerformance(
-        overall=overall, per_instance=tuple(per_instance), per_job=per_job
+        overall=overall, per_instance=tuple(normalised), per_job=per_job
     )
 
 

@@ -141,6 +141,8 @@ def _rows_after(source: ScenarioSource, watermark: int) -> ScenarioSource:
 
     if isinstance(source, ShardedScenarioStore):
         return StoreSlice(source, watermark, len(source))
+    if isinstance(source, StoreSlice):
+        return StoreSlice(source.store, source.start + watermark, source.stop)
     from ..cluster.source import ensure_dataset
 
     dataset = ensure_dataset(source)

@@ -11,20 +11,24 @@ this module:
   name to one signature), per-scenario instance index arrays padded
   into dense ``(n_scenarios, max_instances)`` matrices, and a validity
   mask marking real lanes.
-* :func:`solve_colocation_batch` runs the damped fixed point — LLC
+* :func:`solve_colocation_lanes` runs the damped fixed point — LLC
   shares, miss ratios, bandwidth pressure, CPI stacks, instruction
   rates — as whole-matrix numpy ops over every scenario
   simultaneously, with an active-scenario convergence mask so
-  converged rows freeze while stragglers iterate.
+  converged rows freeze while stragglers iterate, and returns the
+  results as lane arrays (:class:`ColocationLanes`).
+* :func:`colocation_objects` turns lane arrays into
+  :class:`ColocationPerformance` objects without further arithmetic;
+  :func:`solve_colocation_batch` is the lanes core followed by it.
 
 **Row independence.**  A scenario's result does not depend on which
 batch it is solved in, bit for bit.  Every arithmetic step is
 elementwise IEEE-754 (``+ - * / minimum``), the single transcendental
 (the MRC ``pow``) goes through
 :func:`repro.perfmodel.mrc.hyperbolic_miss_ratio` on ndarrays, and
-per-scenario reductions sum contiguous row slices of exactly the
-scenario's lane count (never padded lanes, whose different lengths
-could change numpy's pairwise-summation tree).  The test suite keeps
+per-scenario reductions sum exactly the scenario's lane count (never
+padded lanes, whose different lengths could change numpy's
+pairwise-summation tree).  The test suite keeps
 the historical per-scenario scalar fixed point as an oracle
 (``tests/perfmodel/scalar_oracle.py``) and checks this solver against
 it bit for bit on hypothesis-generated populations and golden
@@ -61,8 +65,11 @@ from .mrc import hyperbolic_miss_ratio
 from .signatures import JobSignature
 
 __all__ = [
+    "ColocationLanes",
     "ScenarioBatch",
+    "colocation_objects",
     "solve_colocation_batch",
+    "solve_colocation_lanes",
     "solve_colocation_many",
 ]
 
@@ -127,19 +134,24 @@ class ScenarioBatch:
 
         table: dict[JobSignature, int] = {}
         signatures: list[JobSignature] = []
-        sig_index = np.zeros((n_scenarios, max_instances), dtype=np.intp)
-        loads = np.zeros((n_scenarios, max_instances))
-        mask = np.zeros((n_scenarios, max_instances), dtype=bool)
-        for row, instances in enumerate(scenarios):
-            for lane, inst in enumerate(instances):
+        lane_sigs: list[int] = []
+        lane_loads: list[float] = []
+        for instances in scenarios:
+            for inst in instances:
                 sig = inst.signature
                 idx = table.get(sig)
                 if idx is None:
                     idx = table[sig] = len(signatures)
                     signatures.append(sig)
-                sig_index[row, lane] = idx
-                loads[row, lane] = inst.load
-                mask[row, lane] = True
+                lane_sigs.append(idx)
+                lane_loads.append(inst.load)
+        # Boolean-mask assignment fills lanes in row-major order, which
+        # is scenario order, then instance order.
+        mask = np.arange(max_instances) < counts[:, None]
+        sig_index = np.zeros((n_scenarios, max_instances), dtype=np.intp)
+        loads = np.zeros((n_scenarios, max_instances))
+        sig_index[mask] = lane_sigs
+        loads[mask] = lane_loads
 
         return cls(
             signatures=tuple(signatures),
@@ -233,51 +245,101 @@ def _pack_sig_params(signatures: Sequence[JobSignature]) -> np.ndarray:
     return sig_params
 
 
-def _row_sums(matrix: np.ndarray, counts: list[int]) -> np.ndarray:
+def _row_sums(matrix: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Per-row sums over each row's first ``counts[i]`` lanes.
 
-    Summing the contiguous prefix slice (rather than the whole padded
-    row) keeps numpy's pairwise-summation tree that of a fresh
-    ``len == count`` array, so a row's sums do not depend on the
-    batch's padding width.
+    Every row is summed as a fresh ``counts[i]``-long array, never over
+    padded lanes, so a row's sum does not depend on the batch's padding
+    width or on the other rows.  The rows of each distinct count are
+    gathered into one ``(rows, count)`` array and reduced along the
+    lanes; numpy reduces each row of it with the pairwise-summation
+    tree of a ``count``-long array, so the bits are those of a per-row
+    ``matrix[i, :count].sum()``.
     """
     out = np.empty(len(counts))
-    for i, count in enumerate(counts):
-        out[i] = matrix[i, :count].sum()
+    if not len(counts):
+        return out
+    order = np.argsort(counts, kind="stable")
+    sorted_counts = counts[order]
+    bounds = (np.flatnonzero(sorted_counts[1:] != sorted_counts[:-1]) + 1).tolist()
+    for lo, hi in zip([0, *bounds], [*bounds, len(counts)]):
+        rows = order[lo:hi]
+        out[rows] = matrix[rows, : int(sorted_counts[lo])].sum(axis=1)
     return out
 
 
-def solve_colocation_batch(
-    machine: MachinePerf,
-    batch: ScenarioBatch | Sequence[Sequence[RunningInstance]],
-) -> list[ColocationPerformance]:
-    """Solve every scenario in *batch* on *machine* simultaneously.
+@dataclass(eq=False)
+class ColocationLanes:
+    """Columnar solve results: :class:`ColocationPerformance` as arrays.
 
-    Returns one :class:`ColocationPerformance` per scenario, in batch
-    order.  Each row's result is bit-identical whatever else is in the
-    batch (see the module docstring).
+    One row per scenario of the solved :class:`ScenarioBatch`, one
+    column per lane.  Each per-lane matrix holds one
+    :class:`InstancePerformance` field (the CPI-stack components are
+    ``branch`` ... ``smt``; ``base`` and ``frontend`` are the
+    signature's); padded lanes hold unspecified finite values.  The
+    per-row vectors hold the :class:`ColocationPerformance` fields and
+    the scenario's ``frequency_ghz``.  Every value is the exact float
+    the object form carries.
     """
-    if not isinstance(batch, ScenarioBatch):
-        batch = ScenarioBatch.from_instances(batch)
-    n_total = len(batch)
-    results: list[ColocationPerformance | None] = [None] * n_total
 
+    mips: np.ndarray
+    ipc: np.ndarray
+    branch: np.ndarray
+    l2: np.ndarray
+    llc_hit: np.ndarray
+    dram: np.ndarray
+    smt: np.ndarray
+    busy_threads: np.ndarray
+    cache_share_mb: np.ndarray
+    llc_miss_ratio: np.ndarray
+    llc_mpki: np.ndarray
+    dram_gbps: np.ndarray
+    network_gbps: np.ndarray
+    disk_mbps: np.ndarray
+    frequency_ghz: np.ndarray
+    cpu_utilization: np.ndarray
+    mem_bw_utilization: np.ndarray
+    mem_latency_ns: np.ndarray
+    converged: np.ndarray
+    iterations: np.ndarray
+
+
+#: The per-lane matrices of :class:`ColocationLanes`, in field order.
+LANE_FIELDS = (
+    "mips",
+    "ipc",
+    "branch",
+    "l2",
+    "llc_hit",
+    "dram",
+    "smt",
+    "busy_threads",
+    "cache_share_mb",
+    "llc_miss_ratio",
+    "llc_mpki",
+    "dram_gbps",
+    "network_gbps",
+    "disk_mbps",
+)
+
+
+def solve_colocation_lanes(
+    machine: MachinePerf, batch: ScenarioBatch
+) -> ColocationLanes:
+    """Solve every scenario in *batch* on *machine* into lane arrays.
+
+    The fixed point itself: :func:`solve_colocation_batch` is this plus
+    the step that builds objects, and columnar callers (the
+    full-datacenter truth, the batched inherent-MIPS normalisers) read
+    the arrays directly.  Each row's values are bit-identical whatever
+    else is in the batch (see the module docstring).
+    """
+    n_total, width = batch.sig_index.shape
     nonempty = np.flatnonzero(batch.counts > 0)
-    for row in np.flatnonzero(batch.counts == 0):
-        results[row] = ColocationPerformance(
-            machine=machine,
-            instances=(),
-            cpu_utilization=0.0,
-            mem_bw_utilization=0.0,
-            mem_latency_ns=machine.mem_latency_ns,
-            converged=True,
-            iterations=0,
-        )
     if nonempty.size == 0:
-        return results  # type: ignore[return-value]
+        return _empty_lanes(machine, n_total, width)
 
     counts = batch.counts[nonempty]
-    counts_list = counts.tolist()
     sig_index = batch.sig_index[nonempty]
     loads = batch.loads[nonempty]
     lane_mask = batch.mask[nonempty]
@@ -301,11 +363,10 @@ def solve_colocation_batch(
 
     # Frequency and core sharing depend only on the (fixed) total busy
     # threads — one exact Python-float computation per scenario.
-    total_busy = _row_sums(busy, counts_list)
+    total_busy = _row_sums(busy, counts)
     freq = np.empty(len(nonempty))
     core_factor = np.empty(len(nonempty))
-    for i in range(len(nonempty)):
-        busy_i = float(total_busy[i])
+    for i, busy_i in enumerate(total_busy.tolist()):
         freq[i] = machine.effective_frequency_ghz(busy_i)
         core_factor[i] = _core_throughput_factor(machine, busy_i)
     freq_col = freq[:, None]
@@ -352,7 +413,7 @@ def solve_colocation_batch(
     for iteration in range(1, _MAX_ITERATIONS + 1):
         if active.size == 0:
             break
-        act_counts = [counts_list[i] for i in active]
+        act_counts = counts[active]
         r = rate[active]
 
         # --- LLC partitioning: proportional to access rate -------------
@@ -418,7 +479,7 @@ def solve_colocation_batch(
 
     # Final consistent pass with the converged rates, over all rows.
     access_rate = rate * llc_apki / 1000.0
-    total_access = _row_sums(access_rate, counts_list)
+    total_access = _row_sums(access_rate, counts)
     has_access = total_access > 0.0
     safe_total = np.where(has_access, total_access, 1.0)
     shares = np.where(
@@ -432,7 +493,7 @@ def solve_colocation_batch(
         mpki / 1000.0 * _CACHE_LINE_BYTES * (1.0 + write_fraction)
     )
     traffic_gbps = rate * bytes_per_instr / 1e9
-    raw_util = _row_sums(traffic_gbps, counts_list) / machine.mem_bw_gbps
+    raw_util = _row_sums(traffic_gbps, counts) / machine.mem_bw_gbps
     util = np.minimum(raw_util, _BW_UTIL_CAP)
     mem_latency = machine.mem_latency_ns * (
         1.0 + _BW_CONGESTION_GAIN * util * util / (1.0 - util)
@@ -443,52 +504,143 @@ def solve_colocation_batch(
         )
     )
     final_rate = busy * freq_col * 1e9 / total_cpi
+    network = np.array(
+        [sig.network_bytes_per_instr for sig in batch.signatures]
+    )[sig_index]
+    disk = np.array([sig.disk_bytes_per_instr for sig in batch.signatures])[
+        sig_index
+    ]
 
-    for i, row in enumerate(nonempty):
+    solved = ColocationLanes(
+        mips=final_rate / 1e6,
+        ipc=1.0 / total_cpi,
+        branch=branch,
+        l2=l2_stall,
+        llc_hit=llc_hit_stall,
+        dram=dram_stall,
+        smt=smt_penalty,
+        busy_threads=busy,
+        cache_share_mb=shares,
+        llc_miss_ratio=miss_ratio,
+        llc_mpki=mpki,
+        dram_gbps=final_rate * bytes_per_instr / 1e9,
+        network_gbps=final_rate * network * 8.0 / 1e9,
+        disk_mbps=final_rate * disk / 1e6,
+        frequency_ghz=freq,
+        cpu_utilization=np.minimum(total_busy / machine.hardware_threads, 1.0),
+        mem_bw_utilization=raw_util,
+        mem_latency_ns=mem_latency,
+        converged=converged,
+        iterations=iterations,
+    )
+    if nonempty.size == n_total:
+        return solved
+    lanes = _empty_lanes(machine, n_total, width)
+    for name, values in vars(solved).items():
+        getattr(lanes, name)[nonempty] = values
+    return lanes
+
+
+def _empty_lanes(machine: MachinePerf, n_rows: int, width: int) -> ColocationLanes:
+    """Lanes of *n_rows* empty scenarios: what an empty machine reports."""
+    per_lane = {name: np.zeros((n_rows, width)) for name in LANE_FIELDS}
+    return ColocationLanes(
+        **per_lane,
+        frequency_ghz=np.zeros(n_rows),
+        cpu_utilization=np.zeros(n_rows),
+        mem_bw_utilization=np.zeros(n_rows),
+        mem_latency_ns=np.full(n_rows, machine.mem_latency_ns),
+        converged=np.ones(n_rows, dtype=bool),
+        iterations=np.zeros(n_rows, dtype=np.intp),
+    )
+
+
+def colocation_objects(
+    machine: MachinePerf, batch: ScenarioBatch, lanes: ColocationLanes
+) -> list[ColocationPerformance]:
+    """Build one :class:`ColocationPerformance` per row of *lanes*.
+
+    No arithmetic: every field is copied from the lane arrays (through
+    ``tolist``, which yields the exact floats), and the CPI stack's
+    ``base``/``frontend`` come from the lane's signature.
+    """
+    signatures = batch.signatures
+    sig_rows = batch.sig_index.tolist()
+    columns = [getattr(lanes, name).tolist() for name in LANE_FIELDS]
+    row_columns = zip(
+        batch.counts.tolist(),
+        sig_rows,
+        zip(*columns),
+        lanes.frequency_ghz.tolist(),
+        lanes.cpu_utilization.tolist(),
+        lanes.mem_bw_utilization.tolist(),
+        lanes.mem_latency_ns.tolist(),
+        lanes.converged.tolist(),
+        lanes.iterations.tolist(),
+    )
+    results: list[ColocationPerformance] = []
+    for (
+        count, sig_row, lane_rows, freq, cpu, mem_bw, latency, conv, iters
+    ) in row_columns:
         perf: list[InstancePerformance] = []
-        for lane in range(counts_list[i]):
-            sig = batch.signatures[sig_index[i, lane]]
-            stack = CPIStack(
-                base=sig.base_cpi,
-                frontend=sig.frontend_cpi,
-                branch=float(branch[i, lane]),
-                l2=float(l2_stall[i, lane]),
-                llc_hit=float(llc_hit_stall[i, lane]),
-                dram=float(dram_stall[i, lane]),
-                smt=float(smt_penalty[i, lane]),
-            )
-            lane_rate = final_rate[i, lane]
+        for (
+            sig_i, mips, ipc, branch, l2, llc_hit, dram, smt, busy, share,
+            miss_ratio, mpki, dram_gbps, network_gbps, disk_mbps,
+        ) in zip(sig_row[:count], *lane_rows):
+            sig = signatures[sig_i]
             perf.append(
                 InstancePerformance(
                     job_name=sig.name,
                     priority=sig.priority,
-                    mips=float(lane_rate / 1e6),
-                    ipc=float(1.0 / total_cpi[i, lane]),
-                    cpi_stack=stack,
-                    busy_threads=float(busy[i, lane]),
-                    cache_share_mb=float(shares[i, lane]),
-                    llc_miss_ratio=float(miss_ratio[i, lane]),
-                    llc_mpki=float(mpki[i, lane]),
-                    dram_gbps=float(lane_rate * bytes_per_instr[i, lane] / 1e9),
-                    network_gbps=float(
-                        lane_rate * sig.network_bytes_per_instr * 8.0 / 1e9
+                    mips=mips,
+                    ipc=ipc,
+                    cpi_stack=CPIStack(
+                        base=sig.base_cpi,
+                        frontend=sig.frontend_cpi,
+                        branch=branch,
+                        l2=l2,
+                        llc_hit=llc_hit,
+                        dram=dram,
+                        smt=smt,
                     ),
-                    disk_mbps=float(lane_rate * sig.disk_bytes_per_instr / 1e6),
-                    frequency_ghz=float(freq[i]),
+                    busy_threads=busy,
+                    cache_share_mb=share,
+                    llc_miss_ratio=miss_ratio,
+                    llc_mpki=mpki,
+                    dram_gbps=dram_gbps,
+                    network_gbps=network_gbps,
+                    disk_mbps=disk_mbps,
+                    frequency_ghz=freq,
                 )
             )
-        results[row] = ColocationPerformance(
-            machine=machine,
-            instances=tuple(perf),
-            cpu_utilization=min(
-                float(total_busy[i]) / machine.hardware_threads, 1.0
-            ),
-            mem_bw_utilization=float(raw_util[i]),
-            mem_latency_ns=float(mem_latency[i]),
-            converged=bool(converged[i]),
-            iterations=int(iterations[i]),
+        results.append(
+            ColocationPerformance(
+                machine=machine,
+                instances=tuple(perf),
+                cpu_utilization=cpu,
+                mem_bw_utilization=mem_bw,
+                mem_latency_ns=latency,
+                converged=conv,
+                iterations=iters,
+            )
         )
-    return results  # type: ignore[return-value]
+    return results
+
+
+def solve_colocation_batch(
+    machine: MachinePerf,
+    batch: ScenarioBatch | Sequence[Sequence[RunningInstance]],
+) -> list[ColocationPerformance]:
+    """Solve every scenario in *batch* on *machine* simultaneously.
+
+    Returns one :class:`ColocationPerformance` per scenario, in batch
+    order: :func:`solve_colocation_lanes` followed by
+    :func:`colocation_objects`.  Each row's result is bit-identical
+    whatever else is in the batch (see the module docstring).
+    """
+    if not isinstance(batch, ScenarioBatch):
+        batch = ScenarioBatch.from_instances(batch)
+    return colocation_objects(machine, batch, solve_colocation_lanes(machine, batch))
 
 
 def solve_colocation_many(

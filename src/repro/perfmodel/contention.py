@@ -17,8 +17,9 @@ computes every instance's steady-state performance under contention for:
 
 The solver iterates cache shares → miss rates → bandwidth congestion →
 CPI → instruction rates to a damped fixed point.  That iteration lives in
-:func:`repro.perfmodel.batch.solve_colocation_batch`, the one solver;
-:func:`solve_colocation` is its one-scenario form.  Everything downstream
+:func:`repro.perfmodel.batch.solve_colocation_lanes`, the one solver,
+which :func:`~repro.perfmodel.batch.solve_colocation_batch` wraps into
+objects; :func:`solve_colocation` is its one-scenario form.  Everything downstream
 of the simulator (Profiler counters, FLARE clustering, replay) consumes
 only its outputs.
 """

@@ -183,6 +183,11 @@ class StoreSlice:
         self._digest: str | None = None
 
     @property
+    def store(self) -> ShardedScenarioStore:
+        """The store this slice views."""
+        return self._store
+
+    @property
     def shape(self) -> MachineShape:
         return self._store.shape
 

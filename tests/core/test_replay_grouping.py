@@ -192,11 +192,10 @@ def test_serial_evaluate_is_one_batch_per_machine(small_flare, monkeypatch):
     _clear_solve_caches()
     estimate = small_flare.evaluate(FEATURE_1_CACHE, runtime="serial")
     assert len(estimate.per_cluster) > _REPLAY_GROUP_SIZE
-    # The inherent-MIPS normalisers solve one job alone on the machine,
-    # one row per call; every other solve is a replay batch.
-    replay_batches = [rows for rows in calls if rows != [1]]
-    assert 1 <= len(replay_batches) <= 2  # baseline and feature
-    assert all(len(rows) > _REPLAY_GROUP_SIZE for rows in replay_batches)
+    # The inherent-MIPS normalisers solve through the lanes core, so
+    # every object-path solve is a replay batch.
+    assert 1 <= len(calls) <= 2  # baseline and feature
+    assert all(len(rows) > _REPLAY_GROUP_SIZE for rows in calls)
 
 
 def test_skipped_group_expands_to_group_size(small_flare, replay_pool):

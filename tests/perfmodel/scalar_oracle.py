@@ -14,12 +14,17 @@ against an independent reference rather than against itself:
   ``Profiler._temporal_metrics`` must reproduce bit for bit (formerly
   ``Profiler._temporal_metrics_scalar``; it solves through the oracle
   above);
+* :func:`solve_colocation_lanes` — the oracle packed into the batch
+  solver's lane arrays, so columnar callers can be routed through it;
+* :func:`row_sums` — the historical per-row loop behind the batch
+  solver's count-grouped ``_row_sums``;
 * :func:`routed_through_oracle` — a context that sends every solve the
   library makes through the oracle, for end-to-end comparisons.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 
 import numpy as np
@@ -52,7 +57,9 @@ from repro.telemetry.profiler import _level_metrics
 
 __all__ = [
     "routed_through_oracle",
+    "row_sums",
     "solve_colocation",
+    "solve_colocation_lanes",
     "temporal_metrics_scalar",
 ]
 
@@ -61,23 +68,33 @@ __all__ = [
 def routed_through_oracle(monkeypatch):
     """Route every solve in the library through :func:`solve_colocation`.
 
-    Every caller looks ``solve_colocation_batch`` up on
-    :mod:`repro.perfmodel.batch` at call time (the batch-many helpers
-    and the one-row public ``solve_colocation``), so patching that one
-    attribute reroutes the Profiler, the Replayer and the truth
-    baseline.  The process-global solve caches are emptied on entry and
-    exit, so no batch-solved entry answers an oracle run or the
-    reverse.  Serial code paths only: process workers do not see the
-    patch.
+    Every caller looks the solver up on :mod:`repro.perfmodel.batch` at
+    call time: ``solve_colocation_batch`` (the batch-many helpers and
+    the one-row public ``solve_colocation``) or
+    ``solve_colocation_lanes`` (the full-datacenter truth and the
+    inherent-MIPS normalisers).  Patching those two attributes
+    reroutes the Profiler, the Replayer and the truth baseline.  The
+    context yields a :class:`collections.Counter` of oracle calls by
+    patched name, so a test can assert the oracle really ran.  The
+    process-global solve caches are emptied on entry and exit, so no
+    batch-solved entry answers an oracle run or the reverse.  Serial
+    code paths only: process workers do not see the patch.
     """
     from repro.core.performance import inherent_mips
     from repro.perfmodel import batch as batch_module
     from repro.perfmodel.contention import solve_colocation_cached
 
+    calls: collections.Counter = collections.Counter()
+
     def solve(machine, scenarios):
         if isinstance(scenarios, batch_module.ScenarioBatch):
             raise TypeError("the oracle solves instance lists only")
+        calls["solve_colocation_batch"] += 1
         return [solve_colocation(machine, instances) for instances in scenarios]
+
+    def solve_lanes(machine, batch):
+        calls["solve_colocation_lanes"] += 1
+        return solve_colocation_lanes(machine, batch)
 
     def clear():
         solve_colocation_cached.cache_clear()
@@ -86,10 +103,67 @@ def routed_through_oracle(monkeypatch):
     clear()
     with monkeypatch.context() as patch:
         patch.setattr(batch_module, "solve_colocation_batch", solve)
+        patch.setattr(batch_module, "solve_colocation_lanes", solve_lanes)
         try:
-            yield
+            yield calls
         finally:
             clear()
+
+
+def solve_colocation_lanes(machine: MachinePerf, batch):
+    """The oracle's solutions of *batch*'s rows, packed as lane arrays.
+
+    Each row is rebuilt into its :class:`RunningInstance` list, solved
+    by :func:`solve_colocation`, and its object fields copied into the
+    matching :class:`~repro.perfmodel.batch.ColocationLanes` arrays;
+    ``branch`` ... ``smt`` are the CPI-stack components.
+    """
+    from repro.perfmodel.batch import LANE_FIELDS, ColocationLanes
+
+    n_rows, width = batch.sig_index.shape
+    lanes = ColocationLanes(
+        **{name: np.zeros((n_rows, width)) for name in LANE_FIELDS},
+        frequency_ghz=np.zeros(n_rows),
+        cpu_utilization=np.zeros(n_rows),
+        mem_bw_utilization=np.zeros(n_rows),
+        mem_latency_ns=np.zeros(n_rows),
+        converged=np.zeros(n_rows, dtype=bool),
+        iterations=np.zeros(n_rows, dtype=np.intp),
+    )
+    stack_fields = {"branch", "l2", "llc_hit", "dram", "smt"}
+    for row, count in enumerate(batch.counts.tolist()):
+        instances = [
+            RunningInstance(
+                signature=batch.signatures[batch.sig_index[row, lane]],
+                load=float(batch.loads[row, lane]),
+            )
+            for lane in range(count)
+        ]
+        solution = solve_colocation(machine, instances)
+        for lane, perf in enumerate(solution.instances):
+            for name in LANE_FIELDS:
+                source = perf.cpi_stack if name in stack_fields else perf
+                getattr(lanes, name)[row, lane] = getattr(source, name)
+            lanes.frequency_ghz[row] = perf.frequency_ghz
+        lanes.cpu_utilization[row] = solution.cpu_utilization
+        lanes.mem_bw_utilization[row] = solution.mem_bw_utilization
+        lanes.mem_latency_ns[row] = solution.mem_latency_ns
+        lanes.converged[row] = solution.converged
+        lanes.iterations[row] = solution.iterations
+    return lanes
+
+
+def row_sums(matrix: np.ndarray, counts) -> np.ndarray:
+    """Per-row sums over each row's first ``counts[i]`` lanes, row by row.
+
+    The historical loop the count-grouped ``_row_sums`` of
+    :mod:`repro.perfmodel.batch` replaced: one ``ndarray.sum`` per
+    contiguous prefix slice.
+    """
+    out = np.empty(len(counts))
+    for i, count in enumerate(counts):
+        out[i] = matrix[i, :count].sum()
+    return out
 
 
 def solve_colocation(

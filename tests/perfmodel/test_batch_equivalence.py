@@ -364,8 +364,11 @@ class TestEndToEndEquivalence:
         from repro.baselines import evaluate_full_datacenter
 
         feature = self._feature()
-        with routed_through_oracle(monkeypatch):
+        with routed_through_oracle(monkeypatch) as calls:
             scalar = evaluate_full_datacenter(tiny_dataset, feature)
+        # The truth solves through the lanes core: the oracle must have
+        # answered it, or this would compare batched with batched.
+        assert calls["solve_colocation_lanes"] > 0
         batched = evaluate_full_datacenter(tiny_dataset, feature)
         assert scalar.overall_reduction_pct == batched.overall_reduction_pct
         assert scalar.per_job == batched.per_job

@@ -214,3 +214,33 @@ class TestBaselinesAcceptStores:
         np.testing.assert_array_equal(
             streamed.trials.estimates, resident.trials.estimates
         )
+
+
+class TestRowsAfter:
+    def test_store_slice_stays_a_slice(self, small_sim, tmp_path, monkeypatch):
+        from repro.core.streaming_fit import _rows_after
+        from repro.store import write_store
+        from repro.store.live import StoreSlice
+        from repro.store.store import ShardedScenarioStore
+
+        store = write_store(small_sim.dataset, tmp_path / "s", shard_size=16)
+        assert len(store) >= 96
+        loads = []
+        load = ShardedScenarioStore.load_shard_arrays
+
+        def counting(self, shard, *args, **kwargs):
+            loads.append(shard)
+            return load(self, shard, *args, **kwargs)
+
+        monkeypatch.setattr(ShardedScenarioStore, "load_shard_arrays", counting)
+        fresh = _rows_after(StoreSlice(store, 0, 90), 60)
+        assert isinstance(fresh, StoreSlice)
+        assert (fresh.start, fresh.stop) == (60, 90)
+        assert loads == []
+        rows = [s for batch in fresh.iter_batches() for s in batch.scenarios]
+        # Only the shards overlapping rows [60, 90) are decoded: 48-63,
+        # 64-79 and 80-95 — not every shard up to row 90.
+        assert loads == [3, 4, 5]
+        assert [s.scenario_id for s in rows] == [
+            small_sim.dataset[i].scenario_id for i in range(60, 90)
+        ]
