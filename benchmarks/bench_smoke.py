@@ -56,13 +56,14 @@ each), the solutions must be bit-identical, and the ratio
 is recorded as ``batch_solver_speedup_x`` (acceptance bar >= 5x)
 alongside per-batch-size throughput in ``batch_throughput_scn_s``.
 
-The zero-copy dispatch layer is gated per worker count: the scenario
-store is profiled serially and through process pools of 1, 2 and 4
-workers under shard-ref dispatch (pools warmed before timing), each
-``profile_speedup[w]`` must reach ``0.8 * min(w, cpu_count)``, every
-dispatch transport (shardref / shm / pickle / serial) must produce the
-bit-identical metric matrix, and ``shm_leaked_segments`` must be zero
-after the shared-memory runs.
+Parallel profiling is gated per worker count: the scenario store is
+profiled serially and through process pools of 1, 2 and 4 workers
+(pools warmed before timing; workers receive columnar table slices by
+value), each ``profile_speedup[w]`` must reach
+``0.8 * min(w, cpu_count)``, and every run — serial inline, a
+``SerialExecutor``, the pools on the store and ``process:2`` on the
+in-memory dataset — must produce the bit-identical metric matrix
+(``dispatch_identical``).
 
 The sharded scenario store (repro.store) is billed too: the simulated
 dataset is written out as a store under ``benchmarks/results/smoke_store``
@@ -360,16 +361,16 @@ def main(argv: list[str] | None = None) -> int:
         f"read {store_read_mb_s:.1f} MiB/s"
     )
 
-    # Zero-copy dispatch: profile a store through the serial path and
-    # through process pools of 1/2/4 workers using shard-ref dispatch
-    # (workers mmap the store; no scenario pickling anywhere).  Pools
+    # Parallel profiling: profile a store through the serial path and
+    # through process pools of 1/2/4 workers (the parent reads each
+    # shard's tables and ships slices of them by value).  Pools
     # are warmed before timing, best-of-two each.  The local gate scales
     # with the cores actually present: speedup[w] >= 0.8 * min(w, cores)
     # — on a single core the process backend may not lose more than 20%
     # to dispatch overhead; with real cores it must win.  Dispatch cost
     # is per-window, so the gate is measured at >= 800 scenarios where
     # solver work dominates and the ratio is stable run-to-run.
-    from repro.api import Profiler, RuntimeConfig, active_shared_segments
+    from repro.api import Profiler
 
     dispatch_n = max(args.scenarios, 800)
     if dispatch_n == len(dataset):
@@ -402,7 +403,7 @@ def main(argv: list[str] | None = None) -> int:
     cpu_count = available_workers()
     profile_parallel_s: dict[str, float] = {}
     profile_speedup: dict[str, float] = {}
-    shardref_matrices = {}
+    pool_matrices = {}
     for n_workers in (1, 2, 4):
         with ProcessExecutor(max_workers=n_workers) as pool:
             pool.map(abs, range(n_workers))  # warm the workers
@@ -421,41 +422,38 @@ def main(argv: list[str] | None = None) -> int:
         profile_speedup[str(n_workers)] = round(
             profile_serial_s / wall if wall else 0.0, 3
         )
-        shardref_matrices[n_workers] = profiled.matrix
+        pool_matrices[n_workers] = profiled.matrix
         print(
             f"profile process:{n_workers}  {wall:7.3f} s "
             f"(speedup {profile_speedup[str(n_workers)]:.2f}x, "
             f"gate >= {0.8 * min(n_workers, cpu_count):.2f}x)"
         )
 
-    # Every dispatch transport must produce the bit-identical matrix:
-    # shard refs (above), shared-memory tables and pickled chunks.
-    shm_profiled = Profiler().profile(
-        dispatch_dataset,
-        runtime=RuntimeConfig(executor="process:2", dispatch="shm"),
-    )
-    pickle_profiled = Profiler().profile(
-        dispatch_dataset,
-        runtime=RuntimeConfig(executor="process:2", dispatch="pickle"),
+    # Every run must produce the bit-identical matrix: the pools on the
+    # store (above), a serial executor, and process:2 on the in-memory
+    # dataset, against the inline profiles of both sources.
+    with SerialExecutor() as serial_pool:
+        pool_matrices["serial"] = (
+            Profiler().profile(dispatch_store, runtime=serial_pool).matrix
+        )
+    in_memory_profiled = Profiler().profile(
+        dispatch_dataset, runtime="process:2"
     )
     inline_profiled = Profiler().profile(dispatch_dataset)
     dispatch_identical = bool(
         all(
             np.array_equal(serial_profiled.matrix, matrix)
-            for matrix in shardref_matrices.values()
+            for matrix in pool_matrices.values()
         )
         and np.array_equal(serial_profiled.matrix, inline_profiled.matrix)
-        and np.array_equal(inline_profiled.matrix, shm_profiled.matrix)
-        and np.array_equal(inline_profiled.matrix, pickle_profiled.matrix)
+        and np.array_equal(inline_profiled.matrix, in_memory_profiled.matrix)
     )
-    shm_leaked_segments = len(active_shared_segments())
     runtime_speedup_ok = all(
         profile_speedup[str(w)] >= 0.8 * min(w, cpu_count)
         for w in (1, 2, 4)
     )
     print(
-        f"dispatch modes bit-identical: {dispatch_identical}; "
-        f"leaked shm segments: {shm_leaked_segments}; "
+        f"parallel profiles bit-identical: {dispatch_identical}; "
         f"speedup gate: {'ok' if runtime_speedup_ok else 'FAILED'}"
     )
 
@@ -581,7 +579,6 @@ def main(argv: list[str] | None = None) -> int:
         and batch_identical
         and dispatch_identical
         and runtime_speedup_ok
-        and shm_leaked_segments == 0
         and tracing_overhead_ok
         and obs_overhead_ok
     )
@@ -609,7 +606,6 @@ def main(argv: list[str] | None = None) -> int:
         "streaming_fit_s": round(streaming_fit_s, 4),
         "streaming_fit_overhead_pct": round(streaming_fit_overhead_pct, 3),
         "profile_serial_s": round(profile_serial_s, 4),
-        "shm_leaked_segments": shm_leaked_segments,
         "scalar_solver_s": round(scalar_solver_s, 4),
         "batched_solver_s": round(batched_solver_s, 4),
         "batch_solver_speedup_x": round(batch_solver_speedup_x, 2),

@@ -22,13 +22,12 @@ The surface groups into:
   load-testing comparisons;
 * **runtime** — the unified execution configuration (`RuntimeConfig`,
   `resolve_runtime`) over the deterministic parallel engine
-  (`Executor`, `SerialExecutor`, `ProcessExecutor`, `resolve_executor`)
-  with zero-copy scenario dispatch (`ShardRef`, `DispatchError`,
-  `active_shared_segments`; see docs/runtime.md), the digest-keyed
-  artefact cache (`RuntimeCache`), and the failure model
-  (`ResilienceConfig`, `FailurePolicy`, `RetryPolicy`, `TaskFailure`,
-  `partition_failures`, `FaultSpec`, `CheckpointJournal`;
-  see docs/resilience.md);
+  (`Executor`, `SerialExecutor`, `ProcessExecutor`, `resolve_executor`;
+  parallel profiles ship columnar table slices to their workers, see
+  docs/runtime.md), the digest-keyed artefact cache (`RuntimeCache`),
+  and the failure model (`ResilienceConfig`, `FailurePolicy`,
+  `RetryPolicy`, `TaskFailure`, `partition_failures`, `FaultSpec`,
+  `CheckpointJournal`; see docs/resilience.md);
 * **observability** — span tracing, the metrics registry and trace
   export (`Tracer`, `Span`, `METRICS`, `write_trace`, `render_summary`,
   `prometheus_text`), plus the fleet-health observatory: model drift
@@ -131,7 +130,6 @@ from .obs import (
 )
 from .runtime import (
     CheckpointJournal,
-    DispatchError,
     Executor,
     FailurePolicy,
     FaultSpec,
@@ -142,9 +140,7 @@ from .runtime import (
     RuntimeCache,
     RuntimeConfig,
     SerialExecutor,
-    ShardRef,
     TaskFailure,
-    active_shared_segments,
     available_workers,
     default_cache,
     partition_failures,
@@ -210,9 +206,6 @@ __all__ = [
     "RuntimeConfig",
     "ResolvedRuntime",
     "resolve_runtime",
-    "DispatchError",
-    "ShardRef",
-    "active_shared_segments",
     "Executor",
     "SerialExecutor",
     "ProcessExecutor",

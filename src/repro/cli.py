@@ -35,7 +35,7 @@ from .core.pipeline import Flare, FlareConfig
 from .io.serialization import load_dataset, load_model, save_dataset, save_model
 from .reporting.radar import render_radar_report
 from .reporting.tables import render_table
-from .runtime.config import DISPATCH_MODES, ResolvedRuntime, RuntimeConfig
+from .runtime.config import ResolvedRuntime, RuntimeConfig
 from .store import DEFAULT_SHARD_SIZE, StoreWriter, compact_store, open_store
 
 __all__ = ["main", "build_parser"]
@@ -49,15 +49,6 @@ def _add_runtime_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--executor",
         help="execution backend: serial (default), process, process:<N>",
-    )
-    parser.add_argument(
-        "--dispatch",
-        choices=DISPATCH_MODES,
-        default="auto",
-        help=(
-            "how scenario payloads reach process workers: auto "
-            "(default), pickle, shardref (store-backed sources), shm"
-        ),
     )
     parser.add_argument(
         "--chunk-size",
@@ -518,7 +509,6 @@ def _resolve_runtime(args, run_key: tuple) -> ResolvedRuntime | None:
     spec = getattr(args, "executor", None)
     non_default = (
         spec
-        or args.dispatch != "auto"
         or args.chunk_size is not None
         or args.retries is not None
         or args.task_timeout is not None
@@ -532,7 +522,6 @@ def _resolve_runtime(args, run_key: tuple) -> ResolvedRuntime | None:
         raise SystemExit("error: --resume requires --checkpoint DIR")
     config = RuntimeConfig(
         executor=spec,
-        dispatch=args.dispatch,
         chunk_size=args.chunk_size if args.chunk_size is not None else "auto",
         retries=args.retries,
         task_timeout_s=args.task_timeout,

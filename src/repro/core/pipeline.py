@@ -181,7 +181,7 @@ class Flare:
         executor instance, or a spec string like ``"process:4"``.
         When omitted, ``config.runtime`` applies (serial-inline when
         that is ``None`` too).  Results are bit-identical to serial
-        fitting under any runtime, dispatch mode or worker count,
+        fitting under any runtime, chunk size or worker count,
         including with fault injection enabled — see
         :mod:`repro.runtime.resilience`.  The legacy ``executor=`` and
         ``dataset=`` keywords still work with a

@@ -96,7 +96,7 @@ class RunRecord:
         regression detector watches.
     labels:
         Non-numeric context (booleans, strings): gate outcomes,
-        dispatch modes, versions.
+        executor specs, versions.
     schema_version:
         On-disk schema version of this record.
     """

@@ -17,7 +17,7 @@ when the model was fitted, emitting three staleness signals:
 
 Scoring streams batch-by-batch through ``Profiler.iter_profile`` (so a
 sharded store is never materialised, and a parallel runtime fans the
-profiling out zero-copy) into a mergeable :class:`DriftState`.  The
+profiling out as table slices) into a mergeable :class:`DriftState`.  The
 state keeps *per-batch partial sums* and finalises them with
 :func:`math.fsum`, which is exactly rounded — so merging is associative
 bit-for-bit and serial ≡ parallel scores are bit-identical regardless
@@ -357,8 +357,8 @@ class DriftMonitor:
         state = DriftState(n_clusters=self.baseline.n_clusters)
         # One columnar pass up front beats per-batch scenario access:
         # for a sharded store this reads only the duration column
-        # (memory-mapped), and under shard-ref dispatch it spares the
-        # parent from decoding each batch's scenarios just for weights.
+        # (memory-mapped), and under a runtime it spares the parent
+        # from decoding each batch's scenarios just for weights.
         all_durations = (
             source.durations()
             if hasattr(source, "durations")

@@ -162,64 +162,6 @@ class ScenarioBatch:
             counts=counts,
         )
 
-    @classmethod
-    def from_tables(
-        cls,
-        scenario_table: np.ndarray,
-        instance_table: np.ndarray,
-        job_names: Sequence[str],
-        signatures_by_job: dict[str, JobSignature],
-    ) -> "ScenarioBatch":
-        """Pack a batch straight from the store's columnar tables.
-
-        *scenario_table* / *instance_table* are (slices of) the arrays
-        the shard codec writes (:mod:`repro.store.format`) — typically
-        memory-mapped or shared-memory backed, which is the zero-copy
-        dispatch path: no :class:`RunningInstance` objects are
-        materialised.  ``inst_offset`` values are absolute into
-        *instance_table*, so any scenario-row slice pairs with the full
-        instance table.
-
-        Bit-identical to decoding the slice and calling
-        :meth:`from_instances`: the signature table dedupes by interned
-        job index in first-encounter lane order, which matches
-        dedupe-by-signature because the catalogue maps each job name to
-        exactly one signature (and signature equality includes the
-        name); loads are the same float64 values either way.
-        """
-        counts = scenario_table["inst_count"].astype(np.intp)
-        offsets = scenario_table["inst_offset"].astype(np.intp)
-        n_scenarios = len(counts)
-        max_instances = int(counts.max()) if n_scenarios else 0
-
-        jobs = np.asarray(instance_table["job"])
-        load_column = np.asarray(instance_table["load"], dtype=np.float64)
-        table: dict[int, int] = {}
-        signatures: list[JobSignature] = []
-        sig_index = np.zeros((n_scenarios, max_instances), dtype=np.intp)
-        loads = np.zeros((n_scenarios, max_instances))
-        mask = np.zeros((n_scenarios, max_instances), dtype=bool)
-        for row in range(n_scenarios):
-            start = int(offsets[row])
-            for lane in range(int(counts[row])):
-                job = int(jobs[start + lane])
-                idx = table.get(job)
-                if idx is None:
-                    idx = table[job] = len(signatures)
-                    signatures.append(signatures_by_job[job_names[job]])
-                sig_index[row, lane] = idx
-                loads[row, lane] = load_column[start + lane]
-                mask[row, lane] = True
-
-        return cls(
-            signatures=tuple(signatures),
-            sig_params=_pack_sig_params(signatures),
-            sig_index=sig_index,
-            loads=loads,
-            mask=mask,
-            counts=counts,
-        )
-
     def __len__(self) -> int:
         return len(self.counts)
 

@@ -25,26 +25,18 @@ Per-dispatch wall-clock and task counts are surfaced through
 :data:`repro.telemetry.RUNTIME_STATS`.
 
 :mod:`repro.runtime.config` unifies the execution knobs into
-:class:`RuntimeConfig` — one value carrying executor choice, dispatch
-mode, chunking, resilience and checkpointing — and
-:mod:`repro.runtime.dispatch` provides the zero-copy scenario
-transports behind its ``dispatch`` field (:class:`ShardRef` descriptors
-into sharded stores, shared-memory tables for in-memory datasets).
+:class:`RuntimeConfig` — one value carrying executor choice, chunking,
+resilience and checkpointing.  Scenario profiling ships columnar table
+slices by value to its workers (see ``Profiler.iter_profile``); there
+is no transport to choose.
 """
 
 from .config import (
-    DISPATCH_MODES,
     ResolvedRuntime,
     RuntimeConfig,
     cost_aware_block,
     record_stage_cost,
     resolve_runtime,
-)
-from .dispatch import (
-    DispatchError,
-    ShardRef,
-    active_shared_segments,
-    choose_dispatch,
 )
 from .executor import (
     EXECUTOR_ENV_VAR,
@@ -80,11 +72,6 @@ __all__ = [
     "RuntimeConfig",
     "ResolvedRuntime",
     "resolve_runtime",
-    "DISPATCH_MODES",
-    "DispatchError",
-    "ShardRef",
-    "choose_dispatch",
-    "active_shared_segments",
     "cost_aware_block",
     "record_stage_cost",
     "Executor",

@@ -11,7 +11,6 @@ a single value that travels as one argument, persists in saved models
 legacy keyword      RuntimeConfig field     CLI flag
 ==================  ======================  =====================
 ``executor=``       ``executor``            ``--executor``
-(new)               ``dispatch``            ``--dispatch``
 ``chunk_size=``     ``chunk_size``          ``--chunk-size``
 ``retries=``        ``retries``             ``--retries``
 ``task_timeout=``   ``task_timeout_s``      ``--task-timeout``
@@ -19,12 +18,6 @@ legacy keyword      RuntimeConfig field     CLI flag
 ``checkpoint=``     ``checkpoint_dir``      ``--checkpoint``
 (new)               ``resume``              ``--resume``
 ==================  ======================  =====================
-
-``dispatch`` selects how scenario payloads reach process workers (see
-:mod:`repro.runtime.dispatch` and docs/runtime.md): ``"auto"`` picks the
-cheapest safe mode, ``"pickle"`` forces the legacy per-chunk pickling,
-``"shardref"`` ships row-range descriptors into an on-disk store, and
-``"shm"`` shares packed scenario tables via POSIX shared memory.
 
 Cost-aware chunking lives here too: fan-out stages record their
 measured per-item cost into a :mod:`repro.obs` histogram
@@ -46,16 +39,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .resilience import ResilienceConfig
 
 __all__ = [
-    "DISPATCH_MODES",
     "RuntimeConfig",
     "ResolvedRuntime",
     "resolve_runtime",
     "record_stage_cost",
     "cost_aware_block",
 ]
-
-#: Recognised scenario-dispatch modes (see module docstring).
-DISPATCH_MODES = ("auto", "pickle", "shardref", "shm")
 
 #: Histogram-name prefix for measured per-item stage costs.
 _COST_PREFIX = "item_cost_s:"
@@ -76,14 +65,13 @@ class RuntimeConfig:
 
     The default configuration reproduces historical behaviour exactly:
     executor resolution falls through to the ``REPRO_EXECUTOR``
-    environment variable (serial fallback), dispatch and chunking are
-    chosen automatically, and no resilience or checkpointing is
+    environment variable (serial fallback), chunking is chosen
+    automatically, and no resilience or checkpointing is
     attached.  Like everything else in the runtime, none of these knobs
     may change results — only speed and failure behaviour.
     """
 
     executor: "Executor | str | None" = None
-    dispatch: str = "auto"
     chunk_size: "int | str" = "auto"
     retries: int | None = None
     task_timeout_s: float | None = None
@@ -92,11 +80,6 @@ class RuntimeConfig:
     resume: bool = False
 
     def __post_init__(self) -> None:
-        if self.dispatch not in DISPATCH_MODES:
-            raise ValueError(
-                f"unknown dispatch mode {self.dispatch!r}; expected one "
-                f"of {list(DISPATCH_MODES)}"
-            )
         if self.chunk_size != "auto":
             if not isinstance(self.chunk_size, int) or self.chunk_size < 1:
                 raise ValueError(
@@ -174,7 +157,6 @@ class RuntimeConfig:
             executor = f"{name}:{workers}" if workers else name
         return {
             "executor": executor,
-            "dispatch": self.dispatch,
             "chunk_size": self.chunk_size,
             "retries": self.retries,
             "task_timeout_s": self.task_timeout_s,
@@ -185,9 +167,13 @@ class RuntimeConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RuntimeConfig":
+        """Inverse of :meth:`to_dict`.
+
+        Unknown keys are ignored, so payloads saved by older versions
+        (which carried a ``"dispatch"`` transport choice) still load.
+        """
         return cls(
             executor=payload.get("executor"),
-            dispatch=payload.get("dispatch", "auto"),
             chunk_size=payload.get("chunk_size", "auto"),
             retries=payload.get("retries"),
             task_timeout_s=payload.get("task_timeout_s"),

@@ -57,8 +57,8 @@ STORE_FORMAT_VERSION = 1
 DEFAULT_SHARD_SIZE = 1024
 
 #: Supported shard codecs.  ``None`` (raw ``.npy``) keeps shards
-#: memory-mappable; ``"zlib"`` trades mmap/zero-copy dispatch for
-#: smaller files.  Digests always cover the *uncompressed* array bytes,
+#: memory-mappable; ``"zlib"`` trades memory-mapped reads for smaller
+#: files.  Digests always cover the *uncompressed* array bytes,
 #: so a store's ``content_digest`` is codec-independent.
 SHARD_COMPRESSIONS = (None, "zlib")
 
@@ -273,29 +273,34 @@ def decode_shard(
     JSON format — so a store round trip is indistinguishable from a
     JSON round trip.
     """
+    # One conversion per column, not one memmap index per element.
+    jobs = instance_table["job"].tolist()
+    loads = instance_table["load"].tolist()
     scenarios = []
-    jobs = instance_table["job"]
-    loads = instance_table["load"]
-    for row in scenario_table:
-        start = int(row["inst_offset"])
-        stop = start + int(row["inst_count"])
+    for scenario_id, n_occurrences, duration, start, count in zip(
+        scenario_table["scenario_id"].tolist(),
+        scenario_table["n_occurrences"].tolist(),
+        scenario_table["total_duration_s"].tolist(),
+        scenario_table["inst_offset"].tolist(),
+        scenario_table["inst_count"].tolist(),
+    ):
         counts: dict[str, int] = {}
         instances = []
-        for position in range(start, stop):
+        for position in range(start, start + count):
             name = job_names[jobs[position]]
             counts[name] = counts.get(name, 0) + 1
             instances.append(
                 RunningInstance(
-                    signature=signatures[name], load=float(loads[position])
+                    signature=signatures[name], load=loads[position]
                 )
             )
         scenarios.append(
             Scenario(
-                scenario_id=int(row["scenario_id"]),
+                scenario_id=scenario_id,
                 key=tuple(sorted(counts.items())),
                 instances=tuple(instances),
-                n_occurrences=int(row["n_occurrences"]),
-                total_duration_s=float(row["total_duration_s"]),
+                n_occurrences=n_occurrences,
+                total_duration_s=duration,
             )
         )
     return ScenarioDataset(shape=shape, scenarios=tuple(scenarios))

@@ -201,18 +201,21 @@ class StoreSlice:
             raise IndexError(f"scenario index {index} out of range")
         return self._store[self.start + index]
 
-    def iter_batches(
-        self, batch_size: int | None = None
-    ) -> Iterator[ScenarioDataset]:
+    def _shard_ranges(self) -> Iterator[tuple[int, int, int]]:
+        """``(shard, lo, hi)``: the shard-local row range of each overlap."""
         offsets = self._store._row_offsets
         for shard in range(self._store.n_shards):
             base = int(offsets[shard])
             top = int(offsets[shard + 1])
             if top <= self.start or base >= self.stop:
                 continue
+            yield shard, max(0, self.start - base), min(top, self.stop) - base
+
+    def iter_batches(
+        self, batch_size: int | None = None
+    ) -> Iterator[ScenarioDataset]:
+        for shard, lo, hi in self._shard_ranges():
             dataset = self._store._shard_dataset(shard)
-            lo = max(0, self.start - base)
-            hi = min(top, self.stop) - base
             if lo > 0 or hi < len(dataset):
                 dataset = ScenarioDataset(
                     shape=dataset.shape,
@@ -223,25 +226,28 @@ class StoreSlice:
             else:
                 yield from dataset.iter_batches(batch_size)
 
+    def iter_tables(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The store's shard tables, scenario rows clipped to the slice.
+
+        Each instance table stays whole: ``inst_offset`` still indexes
+        it.
+        """
+        for shard, lo, hi in self._shard_ranges():
+            scenario_table, instance_table = self._store.load_shard_arrays(
+                shard
+            )
+            yield scenario_table[lo:hi], instance_table
+
     def durations(self) -> np.ndarray:
         """Observed durations for the slice, from the raw columns."""
         if len(self) == 0:
             return np.zeros(0, dtype=np.float64)
-        offsets = self._store._row_offsets
-        columns: list[np.ndarray] = []
-        for shard in range(self._store.n_shards):
-            base = int(offsets[shard])
-            top = int(offsets[shard + 1])
-            if top <= self.start or base >= self.stop:
-                continue
-            column = np.asarray(
-                self._store.load_shard_arrays(shard)[0]["total_duration_s"],
-                dtype=np.float64,
-            )
-            lo = max(0, self.start - base)
-            hi = min(top, self.stop) - base
-            columns.append(column[lo:hi])
-        return np.concatenate(columns)
+        return np.concatenate(
+            [
+                np.asarray(table["total_duration_s"], dtype=np.float64)
+                for table, _ in self.iter_tables()
+            ]
+        )
 
     def weights(self) -> np.ndarray:
         """Weights normalised over the slice alone."""
@@ -317,6 +323,9 @@ class TailingSource:
         self, batch_size: int | None = None
     ) -> Iterator[ScenarioDataset]:
         return self._store.iter_batches(batch_size)
+
+    def iter_tables(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        return self._store.iter_tables()
 
     def weights(self) -> np.ndarray:
         return self._store.weights()

@@ -477,67 +477,16 @@ class ShardedScenarioStore:
         self._decoded[shard] = dataset
         return dataset
 
-    @property
-    def supports_shard_refs(self) -> bool:
-        """Whether shards can be memory-mapped in place by workers.
+    def iter_tables(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Yield each shard's (scenario table, instance table), in order.
 
-        Compressed shards cannot — :class:`~repro.runtime.dispatch`'s
-        shard-ref workers mmap the raw ``.npy`` files directly, so
-        zero-copy dispatch is only offered for uncompressed stores.
+        The arrays are read through :meth:`load_shard_arrays` —
+        memory-mapped (decompressed for compressed shards) and
+        digest-verified — and decode no scenarios.  ``inst_offset``
+        indexes the shard's own instance table.
         """
-        return all(
-            entry.get("compression") is None for entry in self._shards
-        )
-
-    def shard_refs(self, *, rows_per_ref: int | None = None) -> list:
-        """Row-range descriptors for zero-copy executor dispatch.
-
-        Each :class:`~repro.runtime.dispatch.ShardRef` names a shard by
-        manifest identity (path, digests, row counts) plus a half-open
-        scenario row range, so workers can memory-map and verify their
-        own slice without the parent shipping any scenario data.  With
-        ``rows_per_ref=None`` each shard is one ref (the store's
-        natural granularity); otherwise each shard is split into the
-        number of evenly-sized ranges that best matches the target —
-        ranges never span shards, and a target close to the shard size
-        keeps the shard whole rather than shaving off a tiny remainder
-        ref that would pay a full shard load for a handful of rows.
-        """
-        from ..runtime.dispatch import ShardRef
-
-        if rows_per_ref is not None and rows_per_ref < 1:
-            raise ValueError("rows_per_ref must be >= 1 (or None)")
-        if not self.supports_shard_refs:
-            raise StoreError(
-                "compressed shards cannot be dispatched as shard refs "
-                "(workers mmap the raw .npy files); rewrite the store "
-                "uncompressed via compact_store to use zero-copy dispatch"
-            )
-        refs: list[ShardRef] = []
-        for index, entry in enumerate(self._shards):
-            rows = int(entry["rows"])
-            pieces = (
-                1 if rows_per_ref is None else max(1, round(rows / rows_per_ref))
-            )
-            step = -(-rows // pieces)
-            shard_base = int(self._row_offsets[index])
-            for start in range(0, rows, max(1, step)):
-                stop = min(start + step, rows)
-                refs.append(
-                    ShardRef(
-                        store_path=str(self.path),
-                        shard=entry["name"],
-                        shard_index=index,
-                        row_start=start,
-                        row_stop=stop,
-                        global_row=shard_base + start,
-                        shard_rows=rows,
-                        shard_instances=int(entry["instances"]),
-                        scenarios_digest=entry["scenarios_digest"],
-                        instances_digest=entry["instances_digest"],
-                    )
-                )
-        return refs
+        for shard in range(self.n_shards):
+            yield self.load_shard_arrays(shard)
 
     # ------------------------------------------------------------------
     # ScenarioSource protocol

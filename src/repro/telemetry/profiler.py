@@ -120,10 +120,10 @@ class ProfiledBatch:
     start_row:
         Global row index of the batch's first scenario.
     dataset:
-        The decoded scenarios of this batch only.  Under shard-ref
-        dispatch the workers never ship scenarios back, so this decodes
-        lazily from the memory-mapped shard on first access — consumers
-        that only need the matrix never pay for it.
+        The decoded scenarios of this batch only.  When a runtime
+        profiles a store, the parent never decodes the shard for the
+        workers, so this decodes lazily from the shard tables on first
+        access — consumers that only need the matrix never pay for it.
     matrix:
         ``(len(dataset), n_metrics)`` raw counter values, noise applied.
     """
@@ -248,26 +248,21 @@ class Profiler:
     ) -> ProfiledDataset:
         """Collect metrics for every scenario under *feature*'s machine.
 
-        Accepts any :class:`~repro.cluster.ScenarioSource`: an
-        in-memory dataset is profiled in one piece (the historical
-        path, unchanged), while a sharded store is profiled
-        batch-by-batch through :meth:`iter_profile` and the rows
-        assembled into one matrix.  The noise stream is consumed in
-        global row order either way, so the matrix is bit-identical
-        across backings, runtimes, dispatch modes and batch sizes.
+        Accepts any :class:`~repro.cluster.ScenarioSource` and assembles
+        the batches of :meth:`iter_profile` into one matrix.  The noise
+        stream is consumed in global row order, so the matrix is
+        bit-identical across backings, runtimes and batch sizes.
 
         ``runtime`` optionally fans the noise-free collection out: it
         accepts a :class:`repro.runtime.RuntimeConfig`, an executor
         instance, a spec string (``"process:4"``), or an
-        already-resolved runtime.  ``None`` keeps the historical inline
-        path (no executor machinery, no environment lookup).
-        Measurement noise is applied in the parent in row order from
-        the single shared stream.  The legacy ``executor=`` and
+        already-resolved runtime.  ``None`` collects inline (no executor
+        machinery, no environment lookup).  The legacy ``executor=`` and
         ``dataset=`` keywords still work with a
         :class:`DeprecationWarning`.
         """
-        from ..obs import inc, span
         from .._deprecations import resolve_renamed_kwarg
+        from ..obs import span
 
         runtime = resolve_renamed_kwarg(
             runtime,
@@ -280,66 +275,21 @@ class Profiler:
         source = resolve_source_argument(
             source, dataset, owner="Profiler.profile"
         )
-        if not isinstance(source, ScenarioDataset):
-            return self._profile_streaming(source, feature, runtime)
-        dataset = source
-        with span(
-            "profiler.profile",
-            n_scenarios=len(dataset),
-            n_metrics=len(self.specs),
-            feature=feature.name,
-        ):
-            machine = feature(dataset.shape.perf)
-            noise = MeasurementNoise(
-                self.noise_sigma, np.random.default_rng(self.seed)
-            )
-            matrix = np.empty((len(dataset), len(self.specs)))
-            if runtime is not None:
-                from ..runtime.config import resolve_runtime
-
-                resolved = resolve_runtime(runtime)
-                try:
-                    cleans = self._collect_all(dataset, machine, resolved)
-                finally:
-                    if resolved is not runtime:
-                        resolved.close()
-            else:
-                cleans = self.collect_many(
-                    dataset.scenarios, dataset, machine
-                )
-            for row, (scenario, clean) in enumerate(
-                zip(dataset.scenarios, cleans)
-            ):
-                matrix[row] = noise.apply(clean, self.specs)
-                if self.database is not None:
-                    self._persist(scenario, matrix[row])
-            inc("scenarios_profiled", len(dataset))
-        return ProfiledDataset(
-            dataset=dataset, machine=machine, specs=self.specs, matrix=matrix
-        )
-
-    def _profile_streaming(
-        self, source: ScenarioSource, feature: Feature, runtime
-    ) -> ProfiledDataset:
-        """profile() over a non-resident source, via iter_profile."""
-        from ..obs import span
-
         with span(
             "profiler.profile",
             n_scenarios=len(source),
             n_metrics=len(self.specs),
             feature=feature.name,
-            streaming=True,
         ):
-            machine = feature(source.shape.perf)
             matrix = np.empty((len(source), len(self.specs)))
-            for batch in self.iter_profile(
-                source, feature, runtime=runtime
-            ):
+            for batch in self.iter_profile(source, feature, runtime=runtime):
                 stop = batch.start_row + batch.matrix.shape[0]
                 matrix[batch.start_row : stop] = batch.matrix
         return ProfiledDataset(
-            dataset=source, machine=machine, specs=self.specs, matrix=matrix
+            dataset=source,
+            machine=feature(source.shape.perf),
+            specs=self.specs,
+            matrix=matrix,
         )
 
     def iter_profile(
@@ -360,29 +310,30 @@ class Profiler:
         with ``noise_offset=w`` gives each row exactly the noise a full
         profile of all ``n`` rows would — the incremental-refit hook.
 
-        This is the streaming producer behind the out-of-core fit: at
-        most a *window* of batches is resident at once, so peak memory
+        This is the streaming producer behind the out-of-core fit: one
+        batch per source batch (per shard for a store), so peak memory
         is bounded by batch size rather than dataset size.  With a
-        parallel *runtime* over a shard-backed store, dispatch goes
-        zero-copy: workers receive :class:`~repro.runtime.ShardRef`
-        row-range descriptors and memory-map the store themselves, so
-        no scenario payload crosses the process boundary in either
-        direction.  Other sources (or ``dispatch="pickle"``) ship each
-        batch as one pickled chunk — chunks align with shards, and a
-        :class:`~repro.runtime.CheckpointJournal` resumes at that
-        granularity.  Both item kinds are pure content, so a resumed
-        run may use a different executor or window and still hit its
-        journal.
+        *runtime*, every batch becomes columnar table slices
+        (``(scenario_table, instance_table)`` in the store's shard
+        layout, see :mod:`repro.store.format`) of ``chunk_size`` rows
+        (cost-aware when ``"auto"``); the slices travel by value to
+        the workers, *window* of them per executor map, and each
+        worker decodes its slice and collects it.  A store's slices
+        come from its verified shard tables without decoding; other
+        sources are packed per batch.  Slices are plain arrays, so a
+        :class:`~repro.runtime.CheckpointJournal` keys every chunk by
+        its content.  A batch whose job names map to conflicting
+        signatures cannot be interned into tables and is collected
+        inline in the parent.
 
         Measurement noise is applied in the parent, in global row
         order, from the single seeded stream — yielded matrices are
-        bit-identical to the in-memory path's rows under any runtime,
-        worker count, dispatch mode or batch size.  The legacy
-        ``executor=`` and ``dataset=`` keywords still work with a
+        bit-identical to the inline path's rows under any runtime,
+        worker count or batch size.  The legacy ``executor=`` and
+        ``dataset=`` keywords still work with a
         :class:`DeprecationWarning`.
         """
         from .._deprecations import resolve_renamed_kwarg
-        from ..obs import inc, span
 
         runtime = resolve_renamed_kwarg(
             runtime,
@@ -402,337 +353,148 @@ class Profiler:
         if noise_offset < 0:
             raise ValueError("noise_offset must be non-negative")
         noise.skip(noise_offset, len(self.specs))
-        start_row = 0
         if runtime is None:
-            for batch in source.iter_batches():
-                with span(
-                    "profiler.profile_batch",
-                    n_scenarios=len(batch),
-                    start_row=start_row,
-                    feature=feature.name,
-                ):
-                    clean = np.empty((len(batch), len(self.specs)))
-                    vectors = self.collect_many(
-                        batch.scenarios, batch, machine
-                    )
-                    for row, vector in enumerate(vectors):
-                        clean[row] = vector
-                    matrix = self._finish_batch(batch, clean, noise)
-                inc("scenarios_profiled", len(batch))
-                yield ProfiledBatch(
-                    start_row=start_row, dataset=batch, matrix=matrix
-                )
-                start_row += len(batch)
+            collected = (
+                (batch, self._collect_matrix(batch, machine))
+                for batch in source.iter_batches()
+            )
+            yield from self._finish(collected, noise, feature)
             return
 
-        import copy
-        import time
-
-        from ..runtime.config import record_stage_cost, resolve_runtime
-        from ..runtime.dispatch import DispatchError, choose_dispatch
-        from ..runtime.executor import ProcessExecutor
-        from ..runtime.resilience import TaskFailure
+        from ..runtime.config import resolve_runtime
 
         resolved = resolve_runtime(runtime)
         try:
-            pool = resolved.executor
-            config = resolved.config
-            mode = choose_dispatch(
-                config.dispatch,
-                store_backed=(
-                    hasattr(source, "shard_refs")
-                    and getattr(source, "supports_shard_refs", True)
-                ),
-                parallel=isinstance(pool, ProcessExecutor),
-                journaled=getattr(pool, "checkpoint", None) is not None,
+            yield from self._finish(
+                self._collect_slices(source, machine, resolved, window),
+                noise,
+                feature,
             )
-            if mode == "shm":
-                if config.dispatch == "shm":
-                    raise DispatchError(
-                        "dispatch='shm' does not apply to streaming "
-                        "profiling; use 'shardref' (for stores) or "
-                        "'pickle'"
-                    )
-                mode = "pickle"  # auto: streaming stays on batch chunks
-            if window is None:
-                window = 2 * getattr(pool, "max_workers", 2)
-
-            if mode == "shardref":
-                yield from self._iter_profile_shardref(
-                    source, feature, machine, noise, pool, config, window
-                )
-                return
-
-            worker_profiler = copy.copy(self)
-            worker_profiler.database = None
-            task = _CollectBatchTask(
-                profiler=worker_profiler, machine=machine
-            )
-            pending: list[ScenarioDataset] = []
-
-            def drain():
-                nonlocal start_row
-                begin = time.perf_counter()
-                cleans = pool.map(
-                    task, list(pending), chunk_size=1, stage="profile"
-                )
-                record_stage_cost(
-                    "profile",
-                    time.perf_counter() - begin,
-                    sum(len(batch) for batch in pending),
-                )
-                for batch, clean in zip(pending, cleans):
-                    if isinstance(clean, TaskFailure):
-                        raise RuntimeError(
-                            f"profiling lost the batch at row {start_row} "
-                            f"({clean.error}); a partial metric matrix "
-                            "would skew every downstream stage — rerun "
-                            "with a non-skipping failure policy"
-                        )
-                    with span(
-                        "profiler.profile_batch",
-                        n_scenarios=len(batch),
-                        start_row=start_row,
-                        feature=feature.name,
-                    ):
-                        matrix = self._finish_batch(batch, clean, noise)
-                    inc("scenarios_profiled", len(batch))
-                    yield ProfiledBatch(
-                        start_row=start_row, dataset=batch, matrix=matrix
-                    )
-                    start_row += len(batch)
-                pending.clear()
-
-            for batch in source.iter_batches():
-                pending.append(batch)
-                if len(pending) >= window:
-                    yield from drain()
-            if pending:
-                yield from drain()
         finally:
             if resolved is not runtime:
                 resolved.close()
 
-    def _iter_profile_shardref(
-        self, source, feature, machine, noise, pool, config, window
-    ):
-        """Zero-copy streaming dispatch over a shard-backed source.
+    def _finish(self, collected, noise: MeasurementNoise, feature: Feature):
+        """Noise (in row order), persistence and a batch per collected pair.
 
-        Refs are iterated in global row order (the noise stream
-        requires it) and dispatched *window* refs at a time with one
-        ref per chunk; refs are cost-sized, so several may cover one
-        shard.  Worker matrices are reassembled into *shard-aligned*
-        batches before yielding — consumers accumulate per batch, so
-        batch boundaries must match the serial path's (one batch per
-        shard) for the whole fit to stay bit-identical.  Workers
-        return only metric matrices; the yielded batch's scenarios
-        decode lazily from the parent's own shard mapping, and only
-        when a consumer actually touches them (or eagerly when
-        persistence needs them).
+        *collected* yields ``(dataset, clean)`` in row order; *dataset*
+        may be a callable that decodes the batch, which only runs when
+        persistence or a consumer needs the scenarios.
         """
-        import copy
-        import dataclasses
-        import time
-
         from ..obs import inc, span
-        from ..runtime.config import cost_aware_block, record_stage_cost
-        from ..runtime.resilience import TaskFailure
 
-        workers = getattr(pool, "max_workers", 1)
-        if isinstance(config.chunk_size, int):
-            rows_per_ref = config.chunk_size
-        else:
-            rows_per_ref = cost_aware_block(len(source), workers, "profile")
-        refs = source.shard_refs(rows_per_ref=rows_per_ref)
-        worker_profiler = copy.copy(self)
-        worker_profiler.database = None
-        task = _CollectShardRefTask(
-            profiler=worker_profiler,
-            machine=machine,
-            job_names=tuple(source.job_names),
-            signatures=dict(source.signatures),
-            shape=source.shape,
-        )
         start_row = 0
-        shard_cleans: list[np.ndarray] = []
-        shard_ref = None  # first ref of the shard being assembled
-
-        def flush_shard():
-            nonlocal start_row, shard_cleans, shard_ref
-            clean = (
-                np.concatenate(shard_cleans, axis=0)
-                if len(shard_cleans) > 1
-                else shard_cleans[0]
-            )
-            whole = dataclasses.replace(
-                shard_ref,
-                row_start=0,
-                row_stop=shard_ref.shard_rows,
-                global_row=shard_ref.global_row - shard_ref.row_start,
-            )
+        for dataset, clean in collected:
             with span(
                 "profiler.profile_batch",
                 n_scenarios=clean.shape[0],
                 start_row=start_row,
                 feature=feature.name,
             ):
+                matrix = np.empty_like(clean)
+                for row in range(clean.shape[0]):
+                    matrix[row] = noise.apply(clean[row], self.specs)
+                batch = ProfiledBatch(
+                    start_row=start_row, dataset=dataset, matrix=matrix
+                )
                 if self.database is not None:
-                    batch = _decode_ref(task, whole)
-                    matrix = self._finish_batch(batch, clean, noise)
-                    dataset_value = batch
-                else:
-                    matrix = np.empty_like(clean)
-                    for row in range(clean.shape[0]):
-                        matrix[row] = noise.apply(clean[row], self.specs)
-                    dataset_value = lambda t=task, r=whole: _decode_ref(t, r)
+                    for scenario, values in zip(
+                        batch.dataset.scenarios, matrix
+                    ):
+                        self._persist(scenario, values)
             inc("scenarios_profiled", clean.shape[0])
-            yield ProfiledBatch(
-                start_row=start_row, dataset=dataset_value, matrix=matrix
-            )
+            yield batch
             start_row += clean.shape[0]
-            shard_cleans = []
-            shard_ref = None
 
-        for group_start in range(0, len(refs), window):
-            group = refs[group_start : group_start + window]
-            begin = time.perf_counter()
-            cleans = pool.map(task, group, chunk_size=1, stage="profile")
-            record_stage_cost(
-                "profile",
-                time.perf_counter() - begin,
-                sum(ref.rows for ref in group),
-            )
-            for ref, clean in zip(group, cleans):
-                if isinstance(clean, TaskFailure):
-                    raise RuntimeError(
-                        "profiling lost the shard ref at global row "
-                        f"{ref.global_row} ({clean.error}); a partial "
-                        "metric matrix would skew every downstream stage "
-                        "— rerun with a non-skipping failure policy"
-                    )
-                if (
-                    shard_ref is not None
-                    and ref.shard_index != shard_ref.shard_index
-                ):
-                    yield from flush_shard()
-                if shard_ref is None:
-                    shard_ref = ref
-                shard_cleans.append(clean)
-        if shard_cleans:
-            yield from flush_shard()
+    def _collect_slices(self, source, machine: MachinePerf, resolved, window):
+        """Collect *source* on a resolved runtime, one table slice per item.
 
-    def _finish_batch(
-        self,
-        batch: ScenarioDataset,
-        clean: np.ndarray,
-        noise: MeasurementNoise,
-    ) -> np.ndarray:
-        """Apply noise in row order and persist: the parent-only steps."""
-        matrix = np.empty_like(clean)
-        for row, scenario in enumerate(batch.scenarios):
-            matrix[row] = noise.apply(clean[row], self.specs)
-            if self.database is not None:
-                self._persist(scenario, matrix[row])
-        return matrix
-
-    def _collect_all(
-        self,
-        dataset: ScenarioDataset,
-        machine: MachinePerf,
-        resolved,
-    ) -> list:
-        """Fan collection out over a resolved runtime.
-
-        The dispatch mode decides what crosses the process boundary.
-        Under ``shm`` the dataset is columnarised once in the parent
-        (the store codec's tables), published through shared memory,
-        and workers receive bare ``(start, stop)`` row ranges — the
-        batched analogue of the historical range layout with the
-        per-chunk scenario pickling removed.  ``pickle`` ships the
-        dataset with one row range per task.  Either way the row
-        blocking is identical, so results are bit-identical across
-        modes.
-
-        The dispatched profiler copy drops the database handle (it is
-        not picklable and persistence must stay in the parent anyway);
-        a scenario degraded to a ``TaskFailure`` by ``retry_then_skip``
-        is a hard error here — a profiled matrix with missing rows
-        would silently skew everything downstream.
+        Yields ``(dataset, clean)`` per source batch in row order.
+        Items never span a batch; each carries only its own rows'
+        instances (``inst_offset`` rebased to 0) as plain array copies.
+        The dispatched profiler copy drops the database handle: it is
+        not picklable, and persistence stays in the parent.  A slice
+        degraded to a ``TaskFailure`` by ``retry_then_skip`` is a hard
+        error — a metric matrix with missing rows would silently skew
+        everything downstream.
         """
         import copy
         import time
 
         from ..runtime.config import cost_aware_block, record_stage_cost
-        from ..runtime.dispatch import choose_dispatch
-        from ..runtime.executor import ProcessExecutor
+        from ..runtime.resilience import TaskFailure
 
         pool = resolved.executor
-        config = resolved.config
-        mode = choose_dispatch(
-            config.dispatch,
-            store_backed=False,
-            parallel=isinstance(pool, ProcessExecutor),
-            journaled=getattr(pool, "checkpoint", None) is not None,
-        )
-        signatures = None
-        if mode == "shm":
-            signatures = _signature_catalogue(dataset)
-            if signatures is None:
-                # Conflicting signatures under one job name cannot be
-                # interned into the columnar tables; ship scenarios.
-                mode = "pickle"
-
-        workers = getattr(pool, "max_workers", 1)
-        if isinstance(config.chunk_size, int):
-            block = config.chunk_size
-        else:
-            block = cost_aware_block(len(dataset), workers, "profile")
-        worker_profiler = copy.copy(self)
-        worker_profiler.database = None
-        ranges = [
-            (start, min(start + block, len(dataset)))
-            for start in range(0, len(dataset), block)
-        ]
-
-        if mode == "shm":
-            from ..runtime.dispatch import SharedTables
-            from ..store.format import encode_shard
-
-            job_index: dict[str, int] = {}
-            scenario_table, instance_table = encode_shard(
-                dataset.scenarios, job_index
+        if window is None:
+            window = 2 * getattr(pool, "max_workers", 2)
+        rows = resolved.config.chunk_size
+        if not isinstance(rows, int):
+            rows = cost_aware_block(
+                len(source), getattr(pool, "max_workers", 1), "profile"
             )
-            job_names = tuple(sorted(job_index, key=job_index.__getitem__))
-            tables = SharedTables(scenario_table, instance_table)
-            shared_task = _CollectSharedTask(
-                profiler=worker_profiler,
+        worker = copy.copy(self)
+        worker.database = None
+        job_index: dict[str, int] = {}
+        signatures: dict = {}
+        batches: list[list] = []  # [dataset, expected items, cleans]
+        items: list[tuple[list, tuple]] = []
+
+        def run():
+            task = _CollectTablesTask(
+                profiler=worker,
                 machine=machine,
-                tables=tables.ref,
-                job_names=job_names,
-                signatures=signatures,
-                shape=dataset.shape,
+                job_names=tuple(job_index),
+                signatures=dict(signatures),
+                shape=source.shape,
             )
             begin = time.perf_counter()
-            try:
-                blocks = pool.map(
-                    shared_task, ranges, chunk_size=1, stage="profile"
-                )
-            finally:
-                tables.release()
-            record_stage_cost(
-                "profile", time.perf_counter() - begin, len(dataset)
+            cleans = pool.map(
+                task,
+                [item for _, item in items],
+                chunk_size=1,
+                stage="profile",
             )
-            return _reassemble_blocks(ranges, blocks)
+            record_stage_cost(
+                "profile",
+                time.perf_counter() - begin,
+                sum(len(item[0]) for _, item in items),
+            )
+            for (batch, _), clean in zip(items, cleans):
+                if isinstance(clean, TaskFailure):
+                    raise RuntimeError(
+                        f"profiling lost a table slice ({clean.error}); a "
+                        "partial metric matrix would skew every downstream "
+                        "stage — rerun with a non-skipping failure policy"
+                    )
+                batch[2].append(clean)
+            items.clear()
 
-        range_task = _CollectRangeTask(
-            profiler=worker_profiler, dataset=dataset, machine=machine
-        )
-        begin = time.perf_counter()
-        blocks = pool.map(range_task, ranges, chunk_size=1, stage="profile")
-        record_stage_cost(
-            "profile", time.perf_counter() - begin, len(dataset)
-        )
-        return _reassemble_blocks(ranges, blocks)
+        def done():
+            while batches and len(batches[0][2]) == batches[0][1]:
+                dataset, _, cleans = batches.pop(0)
+                yield dataset, (
+                    np.concatenate(cleans)
+                    if cleans
+                    else np.empty((0, len(self.specs)))
+                )
+
+        for tables, dataset in _table_batches(source, job_index, signatures):
+            if tables is None:
+                clean = self._collect_matrix(dataset, machine)
+                batches.append([dataset, 1, [clean]])
+            else:
+                slices = list(_table_slices(*tables, rows))
+                batch = [dataset, len(slices), []]
+                batches.append(batch)
+                for item in slices:
+                    items.append((batch, item))
+                    if len(items) >= window:
+                        run()
+                        yield from done()
+            yield from done()
+        if items:
+            run()
+        yield from done()
 
     def collect(
         self,
@@ -781,48 +543,28 @@ class Profiler:
         shape,
         machine: MachinePerf,
     ) -> np.ndarray:
-        """Noise-free metric matrix for a columnar scenario-table slice.
+        """Noise-free metric matrix for a columnar table slice.
 
-        This is the worker-side entry point of the zero-copy dispatch
-        modes: the tables arrive memory-mapped (shard refs) or
-        shared-memory backed, and the batched solver packs its arrays
-        straight from them via :meth:`ScenarioBatch.from_tables` — no
-        scenario pickling anywhere.  Metric derivation still needs the
-        decoded instances, so the slice is rebuilt locally; the result
-        is bit-identical to :meth:`collect_many` over that decode
-        (same 4096-row solve blocking, same float64 loads).
+        The worker-side entry point of parallel profiling: the slice is
+        decoded (:func:`~repro.store.format.decode_shard`) and collected
+        by :meth:`collect_many`, so the result is bit-identical to
+        collecting the scenarios it was packed from.
         """
-        from ..perfmodel.batch import ScenarioBatch, solve_colocation_batch
         from ..store.format import decode_shard
 
-        names = list(job_names)
         dataset = decode_shard(
-            scenario_table, instance_table, names, signatures, shape
+            scenario_table, instance_table, list(job_names), signatures, shape
         )
-        if self.memo is not None:
-            # The memo path routes through collect_many so hits short-
-            # circuit before any batch packing (bit-identical either way).
-            vectors = self.collect_many(dataset.scenarios, dataset, machine)
-        else:
-            vectors = []
-            for start in range(0, len(scenario_table), 4096):
-                block = ScenarioBatch.from_tables(
-                    scenario_table[start : start + 4096],
-                    instance_table,
-                    names,
-                    signatures,
-                )
-                solutions = solve_colocation_batch(machine, block)
-                vectors.extend(
-                    self._vector_from_solution(
-                        scenario, dataset, machine, solution
-                    )
-                    for scenario, solution in zip(
-                        dataset.scenarios[start : start + 4096], solutions
-                    )
-                )
+        return self._collect_matrix(dataset, machine)
+
+    def _collect_matrix(
+        self, dataset: ScenarioDataset, machine: MachinePerf
+    ) -> np.ndarray:
+        """:meth:`collect_many` over *dataset*, as one metric matrix."""
         clean = np.empty((len(dataset), len(self.specs)))
-        for row, vector in enumerate(vectors):
+        for row, vector in enumerate(
+            self.collect_many(dataset.scenarios, dataset, machine)
+        ):
             clean[row] = vector
         return clean
 
@@ -1044,34 +786,12 @@ class Profiler:
 
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class _CollectRangeTask:
-    """Picklable row-range profiling task for batched executor fan-out.
+class _CollectTablesTask:
+    """Picklable profiling task: the item is a table slice, by value.
 
-    The item is a ``(start, stop)`` row range; the worker solves the
-    whole block as one contention batch and returns its metric vectors
-    in row order.
-    """
-
-    profiler: "Profiler"
-    dataset: ScenarioDataset
-    machine: MachinePerf
-
-    def __call__(self, row_range: tuple[int, int]) -> list[np.ndarray]:
-        start, stop = row_range
-        return self.profiler.collect_many(
-            self.dataset.scenarios[start:stop], self.dataset, self.machine
-        )
-
-
-@dataclass(frozen=True)
-class _CollectShardRefTask:
-    """Picklable shard-ref profiling task: the worker reads the store.
-
-    The item is a :class:`~repro.runtime.ShardRef`; the worker
-    memory-maps (and caches) the referenced shard, slices its row
-    range, and profiles it through :meth:`Profiler.collect_tables`.
-    Refs are pure content, so checkpoint-journal keys and injected
-    fault fates survive re-runs unchanged.
+    The item is a ``(scenario_table, instance_table)`` pair whose
+    ``job`` column indexes *job_names*; the worker returns its noise-free
+    metric matrix via :meth:`Profiler.collect_tables`.
     """
 
     profiler: "Profiler"
@@ -1080,12 +800,10 @@ class _CollectShardRefTask:
     signatures: dict
     shape: object
 
-    def __call__(self, ref) -> np.ndarray:
-        from ..runtime.dispatch import shard_tables
-
-        scenario_table, instance_table = shard_tables(ref)
+    def __call__(self, item: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        scenario_table, instance_table = item
         return self.profiler.collect_tables(
-            scenario_table[ref.row_start : ref.row_stop],
+            scenario_table,
             instance_table,
             job_names=self.job_names,
             signatures=self.signatures,
@@ -1094,110 +812,76 @@ class _CollectShardRefTask:
         )
 
 
-@dataclass(frozen=True)
-class _CollectSharedTask:
-    """Picklable shared-memory profiling task for in-memory datasets.
+def _table_batches(source, job_index: dict, signatures: dict):
+    """Yield ``(tables, dataset)`` per batch of *source*, in row order.
 
-    The dataset's columnar tables live in the parent's shared-memory
-    segments (``tables`` names them); the item is a bare
-    ``(start, stop)`` row range, so the per-chunk payload is a few
-    hundred bytes regardless of scenario count.
+    *tables* is the batch's ``(scenario_table, instance_table)`` with
+    ``job`` indexing *job_index* (name → index, filled in place along
+    with *signatures*), or ``None`` when the batch's job names map to
+    conflicting signatures.  *dataset* is the batch's scenarios, or a
+    callable decoding them from *tables*.
+
+    A store (or a slice or tail of one: anything with ``iter_tables``)
+    hands over its verified shard tables and its own job catalogue;
+    any other source is packed per batch with ``encode_shard``.
     """
+    from ..store.format import decode_shard, encode_shard
 
-    profiler: "Profiler"
-    machine: MachinePerf
-    tables: object
-    job_names: tuple
-    signatures: dict
-    shape: object
-
-    def __call__(self, row_range: tuple[int, int]) -> np.ndarray:
-        from ..runtime.dispatch import attach_shared_tables
-
-        start, stop = row_range
-        scenario_table, instance_table = attach_shared_tables(self.tables)
-        return self.profiler.collect_tables(
-            scenario_table[start:stop],
-            instance_table,
-            job_names=self.job_names,
-            signatures=self.signatures,
-            shape=self.shape,
-            machine=self.machine,
-        )
-
-
-def _decode_ref(task: _CollectShardRefTask, ref) -> ScenarioDataset:
-    """Decode one ref's scenarios from the parent's own shard mapping."""
-    from ..runtime.dispatch import shard_tables
-    from ..store.format import decode_shard
-
-    scenario_table, instance_table = shard_tables(ref)
-    return decode_shard(
-        scenario_table[ref.row_start : ref.row_stop],
-        instance_table,
-        list(task.job_names),
-        task.signatures,
-        task.shape,
-    )
-
-
-def _signature_catalogue(dataset: ScenarioDataset) -> dict | None:
-    """Job-name → signature map, or ``None`` if any name is ambiguous."""
-    signatures: dict = {}
-    for scenario in dataset.scenarios:
-        for instance in scenario.instances:
-            name = instance.signature.name
-            existing = signatures.get(name)
-            if existing is None:
-                signatures[name] = instance.signature
-            elif existing != instance.signature:
-                return None
-    return signatures
-
-
-def _reassemble_blocks(ranges, blocks) -> list:
-    """Flatten per-range worker matrices back to per-row vectors."""
-    from ..runtime.resilience import TaskFailure
-
-    cleans: list = []
-    lost_ranges = []
-    for (start, stop), block_rows in zip(ranges, blocks):
-        if isinstance(block_rows, TaskFailure):
-            lost_ranges.append((start, stop))
-            cleans.extend([block_rows] * (stop - start))
+    if hasattr(source, "iter_tables"):
+        store = getattr(source, "store", source)
+        job_index.update((name, i) for i, name in enumerate(store.job_names))
+        signatures.update(store.signatures)
+        names = list(store.job_names)
+        for tables in source.iter_tables():
+            yield tables, (
+                lambda t=tables: decode_shard(
+                    *t, names, store.signatures, store.shape
+                )
+            )
+        return
+    for batch in source.iter_batches():
+        if _merge_signatures(batch.scenarios, signatures):
+            yield encode_shard(batch.scenarios, job_index), batch
         else:
-            cleans.extend(block_rows)
-    if lost_ranges:
-        raise RuntimeError(
-            f"profiling lost {len(lost_ranges)} row range(s) "
-            f"({lost_ranges[:5]}{'…' if len(lost_ranges) > 5 else ''}); "
-            "a partial metric matrix would skew every downstream "
-            "stage — rerun with a non-skipping failure policy"
-        )
-    return cleans
+            yield None, batch
 
 
-@dataclass(frozen=True)
-class _CollectBatchTask:
-    """Picklable per-batch profiling task for streaming fan-out.
+def _merge_signatures(scenarios, signatures: dict) -> bool:
+    """Add *scenarios*' job signatures to *signatures* (name → signature).
 
-    The item *is* the batch dataset, so a checkpoint journal keys each
-    chunk by batch content — independent of how batches were grouped
-    into dispatch windows.  Each shard is solved as one contention
-    batch.
+    Returns False, leaving *signatures* unchanged, when a job name maps
+    to two different signatures.
     """
+    found: dict = {}
+    for scenario in scenarios:
+        for instance in scenario.instances:
+            sig = instance.signature
+            known = found.setdefault(sig.name, signatures.get(sig.name, sig))
+            if known is not sig and known != sig:
+                return False
+    signatures.update(found)
+    return True
 
-    profiler: "Profiler"
-    machine: MachinePerf
 
-    def __call__(self, batch: ScenarioDataset) -> np.ndarray:
-        clean = np.empty((len(batch), len(self.profiler.specs)))
-        vectors = self.profiler.collect_many(
-            batch.scenarios, batch, self.machine
-        )
-        for row, vector in enumerate(vectors):
-            clean[row] = vector
-        return clean
+def _table_slices(scenario_table, instance_table, rows: int):
+    """Split one batch's tables into items of about *rows* scenarios.
+
+    The batch is cut into the number of even pieces closest to
+    ``len / rows`` (so a target near the batch size keeps it whole
+    rather than shaving off a tiny remainder).  Each item is a plain
+    array copy holding only its rows' instances, ``inst_offset``
+    rebased to 0.
+    """
+    n = len(scenario_table)
+    if not n:
+        return
+    step = -(-n // max(1, round(n / rows)))
+    for start in range(0, n, step):
+        scenarios = np.array(scenario_table[start : start + step])
+        lo = int(scenarios["inst_offset"][0])
+        hi = int(scenarios["inst_offset"][-1] + scenarios["inst_count"][-1])
+        scenarios["inst_offset"] -= lo
+        yield scenarios, np.array(instance_table[lo:hi])
 
 
 # ----------------------------------------------------------------------

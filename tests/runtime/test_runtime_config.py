@@ -11,12 +11,9 @@ from __future__ import annotations
 import pytest
 
 from repro.runtime import (
-    DISPATCH_MODES,
-    DispatchError,
     ResolvedRuntime,
     RuntimeConfig,
     SerialExecutor,
-    choose_dispatch,
     cost_aware_block,
     record_stage_cost,
     resolve_runtime,
@@ -26,12 +23,12 @@ from repro.runtime import (
 class TestValidation:
     def test_defaults_are_valid(self):
         config = RuntimeConfig()
-        assert config.dispatch == "auto"
         assert config.chunk_size == "auto"
 
     def test_rejects_unknown_dispatch(self):
-        with pytest.raises(ValueError, match="dispatch"):
-            RuntimeConfig(dispatch="carrier-pigeon")
+        # Profiling has one transport: no dispatch value is known.
+        with pytest.raises(TypeError, match="dispatch"):
+            RuntimeConfig(dispatch="shm")
 
     @pytest.mark.parametrize("bad", [0, -3, 1.5, "large"])
     def test_rejects_bad_chunk_size(self, bad):
@@ -95,7 +92,6 @@ class TestPersistence:
     def test_round_trip(self):
         config = RuntimeConfig(
             executor="process:2",
-            dispatch="shardref",
             chunk_size=32,
             retries=1,
             task_timeout_s=4.0,
@@ -105,6 +101,14 @@ class TestPersistence:
         )
         assert RuntimeConfig.from_dict(config.to_dict()) == config
 
+    def test_legacy_dispatch_key_is_ignored(self):
+        # Saved models and ledger records from older versions carry a
+        # "dispatch" transport choice.
+        config = RuntimeConfig(executor="process:2", chunk_size=8)
+        payload = {**config.to_dict(), "dispatch": "shm"}
+        assert "dispatch" not in config.to_dict()
+        assert RuntimeConfig.from_dict(payload) == config
+
     def test_executor_instance_persists_as_spec(self):
         with SerialExecutor() as pool:
             payload = RuntimeConfig(executor=pool).to_dict()
@@ -112,8 +116,8 @@ class TestPersistence:
 
     def test_with_copies(self):
         base = RuntimeConfig()
-        assert base.with_(dispatch="pickle").dispatch == "pickle"
-        assert base.dispatch == "auto"
+        assert base.with_(chunk_size=8).chunk_size == 8
+        assert base.chunk_size == "auto"
 
 
 class TestResolveRuntime:
@@ -151,61 +155,6 @@ class TestResolveRuntime:
         resolved.close()
         resolved.close()
         assert isinstance(resolved, ResolvedRuntime)
-
-
-class TestChooseDispatch:
-    def test_serial_always_pickles(self):
-        assert (
-            choose_dispatch(
-                "auto", store_backed=True, parallel=False, journaled=False
-            )
-            == "pickle"
-        )
-
-    def test_store_backed_parallel_goes_shardref(self):
-        assert (
-            choose_dispatch(
-                "auto", store_backed=True, parallel=True, journaled=True
-            )
-            == "shardref"
-        )
-
-    def test_journaled_in_memory_keeps_pickle(self):
-        assert (
-            choose_dispatch(
-                "auto", store_backed=False, parallel=True, journaled=True
-            )
-            == "pickle"
-        )
-
-    def test_in_memory_parallel_goes_shm(self):
-        assert (
-            choose_dispatch(
-                "auto", store_backed=False, parallel=True, journaled=False
-            )
-            == "shm"
-        )
-
-    def test_explicit_modes_honoured(self):
-        for mode in DISPATCH_MODES[1:]:
-            assert (
-                choose_dispatch(
-                    mode, store_backed=True, parallel=False, journaled=False
-                )
-                == mode
-            )
-
-    def test_shardref_needs_a_store(self):
-        with pytest.raises(DispatchError, match="shard-backed"):
-            choose_dispatch(
-                "shardref", store_backed=False, parallel=True, journaled=False
-            )
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(DispatchError, match="unknown"):
-            choose_dispatch(
-                "zero-copy", store_backed=True, parallel=True, journaled=False
-            )
 
 
 class TestCostAwareBlock:
@@ -247,7 +196,6 @@ class TestCliMapping:
 
         args = self._parse(
             [
-                "--dispatch", "pickle",
                 "--chunk-size", "32",
                 "--retries", "2",
                 "--task-timeout", "9.5",
@@ -258,7 +206,6 @@ class TestCliMapping:
         resolved = _resolve_runtime(args, ("fit", "d.json", 18))
         try:
             config = resolved.config
-            assert config.dispatch == "pickle"
             assert config.chunk_size == 32
             assert config.retries == 2
             assert config.task_timeout_s == 9.5
@@ -282,5 +229,7 @@ class TestCliMapping:
             _resolve_runtime(args, ("fit", "d.json", 18))
 
     def test_rejects_unknown_dispatch_choice(self, capsys):
+        # The flag is gone with the transports it chose between.
         with pytest.raises(SystemExit):
-            self._parse(["--dispatch", "telepathy"])
+            self._parse(["--dispatch", "shm"])
+        assert "unrecognized arguments: --dispatch" in capsys.readouterr().err

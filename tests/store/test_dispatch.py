@@ -1,13 +1,14 @@
-"""Zero-copy dispatch: transport equivalence and shared-memory hygiene.
+"""Parallel profiling: one table-slice transport, bit-identical to inline.
 
-The dispatch modes are pure transports — serial, pickled chunks,
-shard-ref descriptors and shared-memory tables must all produce the
-bit-identical metric matrix, with or without injected faults, and the
-``shm`` mode must never leak a segment whatever the run's outcome.
+Every runtime profile ships columnar table slices by value to one task.
+Whatever the source (in-memory dataset, store, compressed store, store
+slice, tailing source), executor, chunk size or injected fault, the
+metric matrix must equal the inline (no runtime) profile byte for byte.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -15,9 +16,10 @@ import subprocess
 import sys
 import textwrap
 
-import numpy as np
 import pytest
 
+from repro.cluster.scenario import ScenarioDataset
+from repro.perfmodel.contention import RunningInstance
 from repro.runtime import (
     FaultSpec,
     ProcessExecutor,
@@ -25,8 +27,8 @@ from repro.runtime import (
     RetryPolicy,
     RuntimeConfig,
     SerialExecutor,
-    active_shared_segments,
 )
+from repro.store import StoreSlice, TailingSource, write_store
 from repro.telemetry import Profiler
 
 
@@ -36,145 +38,210 @@ def _fast_retry(max_retries: int = 3) -> RetryPolicy:
     )
 
 
+def _inline(source) -> bytes:
+    return Profiler().profile(source).matrix.tobytes()
+
+
+@pytest.fixture(scope="module")
+def compressed_store(store_dataset, tmp_path_factory):
+    path = tmp_path_factory.mktemp("compressed-store") / "store"
+    return write_store(store_dataset, path, shard_size=16, compression="zlib")
+
+
+@pytest.fixture(scope="module")
+def pool():
+    with ProcessExecutor(max_workers=2) as executor:
+        yield executor
+
+
 class TestDispatchEquivalence:
-    def test_store_transports_bit_identical(self, shared_store):
-        serial = Profiler().profile(shared_store).matrix
+    def test_store_transports_bit_identical(self, shared_store, pool):
+        inline = _inline(shared_store)
+        with SerialExecutor() as serial:
+            assert (
+                Profiler().profile(shared_store, runtime=serial).matrix.tobytes()
+                == inline
+            )
+        assert (
+            Profiler().profile(shared_store, runtime=pool).matrix.tobytes()
+            == inline
+        )
+        assert (
+            Profiler()
+            .profile(shared_store, runtime=RuntimeConfig(executor="process:2"))
+            .matrix.tobytes()
+            == inline
+        )
 
-        with SerialExecutor() as pool:  # serial executor: pickle chunks
-            pickled = Profiler().profile(shared_store, runtime=pool).matrix
-        with ProcessExecutor(max_workers=2) as pool:  # auto: shardref
-            auto = Profiler().profile(shared_store, runtime=pool).matrix
-        explicit = Profiler().profile(
-            shared_store,
-            runtime=RuntimeConfig(executor="process:2", dispatch="shardref"),
+    def test_in_memory_transports_bit_identical(self, store_dataset, pool):
+        inline = _inline(store_dataset)
+        with SerialExecutor() as serial:
+            assert (
+                Profiler().profile(store_dataset, runtime=serial).matrix.tobytes()
+                == inline
+            )
+        assert (
+            Profiler().profile(store_dataset, runtime=pool).matrix.tobytes()
+            == inline
+        )
+
+    def test_compressed_store_bit_identical(
+        self, compressed_store, shared_store, pool
+    ):
+        inline = _inline(shared_store)
+        assert _inline(compressed_store) == inline
+        assert (
+            Profiler().profile(compressed_store, runtime=pool).matrix.tobytes()
+            == inline
+        )
+
+    @pytest.mark.parametrize("start, stop", [(0, 60), (5, 37), (16, 32)])
+    def test_store_slice_bit_identical(self, shared_store, pool, start, stop):
+        view = StoreSlice(shared_store, start, stop)
+        inline = _inline(view)
+        assert (
+            Profiler().profile(view, runtime=pool).matrix.tobytes() == inline
+        )
+        with SerialExecutor() as serial:
+            assert (
+                Profiler()
+                .profile(view, runtime=RuntimeConfig(executor=serial, chunk_size=3))
+                .matrix.tobytes()
+                == inline
+            )
+
+    def test_tailing_source_bit_identical(self, shared_store, pool):
+        tail = TailingSource(shared_store.path)
+        assert (
+            Profiler().profile(tail, runtime=pool).matrix.tobytes()
+            == _inline(shared_store)
+        )
+
+    def test_chunk_size_does_not_change_results(
+        self, shared_store, store_dataset, pool
+    ):
+        for chunk_size in (3, "auto"):
+            for source in (shared_store, store_dataset):
+                chunked = Profiler().profile(
+                    source,
+                    runtime=RuntimeConfig(executor=pool, chunk_size=chunk_size),
+                )
+                assert chunked.matrix.tobytes() == _inline(source)
+
+    def test_batches_stay_shard_aligned(self, shared_store, pool):
+        # One batch per shard, however the shards are cut into items:
+        # the out-of-core fit accumulates at these boundaries.
+        batches = list(
+            Profiler().iter_profile(
+                shared_store,
+                runtime=RuntimeConfig(executor=pool, chunk_size=3),
+            )
+        )
+        assert [b.start_row for b in batches] == [0, 16, 32, 48]
+        assert [len(b.dataset) for b in batches] == [16, 16, 16, 12]
+        assert list(batches[1].dataset.scenarios) == list(
+            shared_store.to_dataset().scenarios[16:32]
+        )
+
+    def test_conflicting_signatures_collected_inline(self, store_dataset, pool):
+        # One job name, two signatures: such a dataset cannot be
+        # interned into tables, so it is collected in the parent.
+        first = store_dataset.scenarios[0].instances[0]
+        twin = dataclasses.replace(
+            first.signature, base_cpi=first.signature.base_cpi * 1.5
+        )
+        scenario = store_dataset.scenarios[1]
+        swapped = dataclasses.replace(
+            scenario,
+            instances=(RunningInstance(twin, first.load),)
+            + scenario.instances[1:],
+        )
+        dataset = ScenarioDataset(
+            shape=store_dataset.shape,
+            scenarios=(store_dataset.scenarios[0], swapped)
+            + store_dataset.scenarios[2:],
+        )
+        parallel = Profiler().profile(dataset, runtime=pool).matrix
+        assert parallel.tobytes() == _inline(dataset)
+        assert parallel.tobytes() != _inline(store_dataset)
+
+
+class TestSharedMemoryHygiene:
+    def test_success_path_unlinks_segments(self, store_dataset, monkeypatch):
+        # Table slices travel by value: a parallel in-memory profile
+        # must not open a shared-memory segment that could leak.
+        from multiprocessing import shared_memory
+
+        opened = []
+        real = shared_memory.SharedMemory
+
+        def recording(*args, **kwargs):
+            opened.append((args, kwargs))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", recording)
+        matrix = Profiler().profile(
+            store_dataset, runtime=RuntimeConfig(executor="process:2")
         ).matrix
+        assert matrix.tobytes() == _inline(store_dataset)
+        assert opened == []
 
-        np.testing.assert_array_equal(serial, pickled)
-        np.testing.assert_array_equal(serial, auto)
-        np.testing.assert_array_equal(serial, explicit)
 
-    def test_in_memory_transports_bit_identical(self, store_dataset):
-        inline = Profiler().profile(store_dataset).matrix
-        shm = Profiler().profile(
-            store_dataset,
-            runtime=RuntimeConfig(executor="process:2", dispatch="shm"),
-        ).matrix
-        pickled = Profiler().profile(
-            store_dataset,
-            runtime=RuntimeConfig(executor="process:2", dispatch="pickle"),
-        ).matrix
-
-        np.testing.assert_array_equal(inline, shm)
-        np.testing.assert_array_equal(inline, pickled)
-
-    def test_chunk_size_does_not_change_results(self, shared_store):
-        serial = Profiler().profile(shared_store).matrix
-        chunked = Profiler().profile(
-            shared_store,
-            runtime=RuntimeConfig(executor="process:2", chunk_size=3),
-        ).matrix
-        np.testing.assert_array_equal(serial, chunked)
-
-    def test_shardref_equivalent_under_fault_injection(self, shared_store):
-        clean = Profiler().profile(shared_store).matrix
+class TestFaults:
+    @pytest.mark.parametrize("source", ["shared_store", "store_dataset"])
+    def test_equivalent_under_fault_injection(self, request, source):
+        source = request.getfixturevalue(source)
         res = ResilienceConfig(
             policy="retry_then_raise",
             retry=_fast_retry(),
             faults=FaultSpec(exception_rate=0.25, seed=13),
         )
-        with ProcessExecutor(max_workers=2, resilience=res) as pool:
-            chaotic = Profiler().profile(shared_store, runtime=pool).matrix
-        np.testing.assert_array_equal(clean, chaotic)
-
-    def test_shm_equivalent_under_fault_injection(self, store_dataset):
-        clean = Profiler().profile(store_dataset).matrix
-        res = ResilienceConfig(
-            policy="retry_then_raise",
-            retry=_fast_retry(),
-            faults=FaultSpec(exception_rate=0.25, seed=17),
-        )
-        with ProcessExecutor(max_workers=2, resilience=res) as pool:
-            chaotic = Profiler().profile(
-                store_dataset,
-                runtime=RuntimeConfig(executor=pool, dispatch="shm"),
+        with ProcessExecutor(max_workers=2, resilience=res) as chaotic:
+            matrix = Profiler().profile(
+                source, runtime=RuntimeConfig(executor=chaotic, chunk_size=3)
             ).matrix
-        np.testing.assert_array_equal(clean, chaotic)
-        assert active_shared_segments() == ()
+        assert matrix.tobytes() == _inline(source)
 
-
-class TestSharedMemoryHygiene:
-    def test_success_path_unlinks_segments(self, store_dataset):
-        Profiler().profile(
-            store_dataset,
-            runtime=RuntimeConfig(executor="process:2", dispatch="shm"),
-        )
-        assert active_shared_segments() == ()
-
-    def test_failure_path_unlinks_segments(self, store_dataset):
-        res = ResilienceConfig(
-            policy="fail_fast",
-            faults=FaultSpec(exception_rate=1.0, seed=3),
-        )
-        with ProcessExecutor(max_workers=2, resilience=res) as pool:
-            with pytest.raises(Exception):
-                Profiler().profile(
-                    store_dataset,
-                    runtime=RuntimeConfig(executor=pool, dispatch="shm"),
-                )
-        assert active_shared_segments() == ()
-
-    def test_pool_respawn_unlinks_segments(self, store_dataset):
-        clean = Profiler().profile(store_dataset).matrix
+    def test_equivalent_across_pool_respawn(self, shared_store):
         res = ResilienceConfig(
             policy="retry_then_raise",
             retry=_fast_retry(),
             faults=FaultSpec(crash_rate=0.10, seed=29),
         )
-        with ProcessExecutor(max_workers=2, resilience=res) as pool:
-            survived = Profiler().profile(
-                store_dataset,
-                runtime=RuntimeConfig(executor=pool, dispatch="shm"),
-            ).matrix
-        np.testing.assert_array_equal(clean, survived)
-        assert active_shared_segments() == ()
+        with ProcessExecutor(max_workers=2, resilience=res) as chaotic:
+            survived = Profiler().profile(shared_store, runtime=chaotic).matrix
+        assert survived.tobytes() == _inline(shared_store)
 
-    def test_shared_tables_refcount(self):
-        from repro.runtime.dispatch import (
-            SharedTables,
-            attach_shared_tables,
+    def test_skipped_slice_is_an_error(self, shared_store):
+        # A matrix with missing rows would skew every later stage.
+        res = ResilienceConfig(
+            policy="retry_then_skip",
+            retry=_fast_retry(max_retries=0),
+            faults=FaultSpec(exception_rate=1.0, seed=5),
         )
-        from repro.store.format import INSTANCE_DTYPE, SCENARIO_DTYPE
+        with SerialExecutor(resilience=res) as skipping:
+            with pytest.raises(RuntimeError, match="lost a table slice"):
+                Profiler().profile(shared_store, runtime=skipping)
 
-        scenario_table = np.zeros(3, dtype=SCENARIO_DTYPE)
-        instance_table = np.zeros(5, dtype=INSTANCE_DTYPE)
-        instance_table["load"] = np.linspace(0.1, 0.9, 5)
-        tables = SharedTables(scenario_table, instance_table)
-        assert len(active_shared_segments()) == 2
-        tables.acquire()
-        tables.release()  # nested user: segments must survive
-        assert len(active_shared_segments()) == 2
-
-        attached_scn, attached_inst = attach_shared_tables(tables.ref)
-        np.testing.assert_array_equal(attached_inst["load"], instance_table["load"])
-        assert attached_scn.shape == scenario_table.shape
-
-        tables.release()  # owner: now everything unlinks
-        assert active_shared_segments() == ()
-        with pytest.raises(RuntimeError):
-            tables.acquire()
+    def test_failure_path_raises(self, store_dataset):
+        res = ResilienceConfig(
+            policy="fail_fast",
+            faults=FaultSpec(exception_rate=1.0, seed=3),
+        )
+        with ProcessExecutor(max_workers=2, resilience=res) as failing:
+            with pytest.raises(Exception):
+                Profiler().profile(store_dataset, runtime=failing)
 
 
 SRC_DIR = str(pathlib.Path(__file__).resolve().parents[2] / "src")
 
 
 @pytest.mark.slow
-class TestShardRefResume:
-    """A parallel shard-ref profile killed mid-run resumes identically.
+class TestParallelResume:
+    """A ``process:2`` profile killed mid-run resumes identically.
 
-    Shard refs are pure content, so a resumed run rebuilds the same
-    journal keys and restores the windows the killed run completed —
-    through the zero-copy transport, not the pickle path test_resume
-    exercises.
+    Table slices are plain arrays, so a resumed run rebuilds the same
+    journal keys and restores the windows the killed run completed.
     """
 
     def _run(self, store_path, journal_root, kill_after: int, out_path):
@@ -205,7 +272,6 @@ class TestShardRefResume:
             store = open_store({str(store_path)!r})
             runtime = RuntimeConfig(
                 executor="process:2",
-                dispatch="shardref",
                 chunk_size=8,
                 checkpoint_dir={str(journal_root)!r},
                 resume=bool(int(sys.argv[3])),
@@ -244,8 +310,8 @@ class TestShardRefResume:
         ).hexdigest()
         journal_root = tmp_path / "journal"
 
-        # First run dies after the first dispatch window (4 refs of 8
-        # rows journaled out of 8).
+        # First run dies after the first dispatch window (4 slices of
+        # 8 rows journaled out of 8).
         proc = self._run(
             shared_store.path, journal_root, 1, tmp_path / "dead.json"
         )
@@ -253,7 +319,7 @@ class TestShardRefResume:
         journaled = list(journal_root.glob("*/chunk-*.pkl"))
         assert len(journaled) == 4
 
-        # The resumed run restores those refs and completes.
+        # The resumed run restores those slices and completes.
         proc = self._run(
             shared_store.path, journal_root, -1, tmp_path / "resumed.json"
         )

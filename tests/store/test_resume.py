@@ -2,9 +2,9 @@
 
 Mirrors the runtime kill/resume chaos test, but through the store-backed
 profiling path: a subprocess streams a sharded store through
-``Profiler.profile`` under a checkpoint journal, SIGKILLs itself halfway
-through the scenario batches, and a resumed invocation must complete from
-the journal to the bit-identical metric matrix of an uninterrupted run.
+``Profiler.profile`` under a checkpoint journal, dies partway through the
+table slices, and a resumed invocation must complete from the journal to
+the bit-identical metric matrix of an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -35,13 +35,13 @@ class TestKillDuringStreamingProfile:
 
             kill_at = int(sys.argv[1])
             calls = [0]
-            original = profiler_mod._CollectBatchTask.__call__
-            def counting(self, batch):
+            original = profiler_mod._CollectTablesTask.__call__
+            def counting(self, item):
                 calls[0] += 1
                 if 0 <= kill_at < calls[0]:
                     os._exit(9)
-                return original(self, batch)
-            profiler_mod._CollectBatchTask.__call__ = counting
+                return original(self, item)
+            profiler_mod._CollectTablesTask.__call__ = counting
 
             store = open_store({str(store_path)!r})
             journal = CheckpointJournal({str(journal_root)!r}, "profile")
@@ -57,7 +57,7 @@ class TestKillDuringStreamingProfile:
                     "digest": hashlib.sha256(
                         profiled.matrix.tobytes()
                     ).hexdigest(),
-                    "batches_executed": calls[0],
+                    "slices_executed": calls[0],
                     "hits": hits,
                 }},
                 open(sys.argv[2], "w"),
@@ -71,27 +71,8 @@ class TestKillDuringStreamingProfile:
         )
 
     def test_sigkill_mid_profile_then_resume(self, shared_store, tmp_path):
-        journal_root = tmp_path / "journal"
-
-        # First run dies after profiling half the store's shards.
-        half = shared_store.n_shards // 2
-        proc = self._run(
-            shared_store.path, journal_root, half, tmp_path / "dead.json"
-        )
-        assert proc.returncode == 9, proc.stderr
-        journaled = list((journal_root / "profile").glob("chunk-*.pkl"))
-        assert len(journaled) == half
-
-        # The resumed run completes, re-executing only the missing shards.
-        proc = self._run(
-            shared_store.path, journal_root, -1, tmp_path / "resumed.json"
-        )
-        assert proc.returncode == 0, proc.stderr
-        resumed = json.loads((tmp_path / "resumed.json").read_text())
-        assert resumed["hits"] == half
-        assert resumed["batches_executed"] == shared_store.n_shards - half
-
-        # And the result is bit-identical to an uninterrupted control run.
+        # An uninterrupted control run: the total slice count and the
+        # reference matrix.
         proc = self._run(
             shared_store.path,
             tmp_path / "fresh",
@@ -100,5 +81,25 @@ class TestKillDuringStreamingProfile:
         )
         assert proc.returncode == 0, proc.stderr
         control = json.loads((tmp_path / "control.json").read_text())
-        assert control["batches_executed"] == shared_store.n_shards
+        total = control["slices_executed"]
+        assert control["hits"] == 0
+
+        # First run dies partway through the slices.
+        kill_at = total // 2
+        journal_root = tmp_path / "journal"
+        proc = self._run(
+            shared_store.path, journal_root, kill_at, tmp_path / "dead.json"
+        )
+        assert proc.returncode == 9, proc.stderr
+        journaled = len(list((journal_root / "profile").glob("chunk-*.pkl")))
+        assert 0 < journaled <= kill_at
+
+        # The resumed run re-executes only the slices the dead run lost.
+        proc = self._run(
+            shared_store.path, journal_root, -1, tmp_path / "resumed.json"
+        )
+        assert proc.returncode == 0, proc.stderr
+        resumed = json.loads((tmp_path / "resumed.json").read_text())
+        assert resumed["hits"] == journaled
+        assert resumed["slices_executed"] == total - journaled
         assert resumed["digest"] == control["digest"]

@@ -220,18 +220,19 @@ class TestCompression:
             shard["compression"] == "zlib" for shard in manifest["shards"]
         )
 
-    def test_compressed_store_refuses_shard_refs(
+    def test_compressed_store_yields_the_same_tables(
         self, store_dataset, shared_store, tmp_path
     ):
-        # Deflated shards are not mmap-able, so the zero-copy dispatch
-        # path must be declined up front rather than failing downstream.
+        # Compressed shards take the same table path as raw ones:
+        # decompressed, digest-verified, byte-equal arrays.
         compressed = write_store(
             store_dataset, tmp_path / "z", shard_size=16, compression="zlib"
         )
-        assert shared_store.supports_shard_refs
-        assert not compressed.supports_shard_refs
-        with pytest.raises(StoreError, match="compress"):
-            list(compressed.shard_refs())
+        pairs = list(zip(compressed.iter_tables(), shared_store.iter_tables()))
+        assert len(pairs) == shared_store.n_shards
+        for got, want in pairs:
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
 
     def test_corrupt_compressed_shard_detected(self, store_dataset, tmp_path):
         store = write_store(
@@ -258,7 +259,7 @@ class TestCompression:
         )
         assert compressed.digest() == shared_store.digest()
         back = compact_store(compressed, tmp_path / "raw", shard_size=16)
-        assert back.supports_shard_refs
+        assert back.manifest["compression"] is None
         assert back.digest() == shared_store.digest()
 
 

@@ -29,15 +29,12 @@ class TestApiSurface:
 
     def test_runtime_names_exported(self):
         from repro.api import (  # noqa: F401
-            DispatchError,
             Executor,
             ProcessExecutor,
             ResolvedRuntime,
             RuntimeCache,
             RuntimeConfig,
             SerialExecutor,
-            ShardRef,
-            active_shared_segments,
             default_cache,
             resolve_executor,
             resolve_runtime,
