@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import importlib
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 _SUBMODULES = frozenset(
     {

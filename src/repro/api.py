@@ -24,10 +24,9 @@ The surface groups into:
   `resolve_runtime`) over the deterministic parallel engine
   (`Executor`, `SerialExecutor`, `ProcessExecutor`, `resolve_executor`;
   parallel profiles ship columnar table slices to their workers, see
-  docs/runtime.md), the digest-keyed artefact cache (`RuntimeCache`),
-  and the failure model (`ResilienceConfig`, `FailurePolicy`,
-  `RetryPolicy`, `TaskFailure`, `partition_failures`, `FaultSpec`,
-  `CheckpointJournal`; see docs/resilience.md);
+  docs/runtime.md), and the failure model (`ResilienceConfig`,
+  `FailurePolicy`, `RetryPolicy`, `TaskFailure`, `partition_failures`,
+  `FaultSpec`, `CheckpointJournal`; see docs/resilience.md);
 * **observability** — span tracing, the metrics registry and trace
   export (`Tracer`, `Span`, `METRICS`, `write_trace`, `render_summary`,
   `prometheus_text`), plus the fleet-health observatory: model drift
@@ -137,12 +136,10 @@ from .runtime import (
     ResilienceConfig,
     ResolvedRuntime,
     RetryPolicy,
-    RuntimeCache,
     RuntimeConfig,
     SerialExecutor,
     TaskFailure,
     available_workers,
-    default_cache,
     partition_failures,
     resolve_executor,
     resolve_runtime,
@@ -211,8 +208,6 @@ __all__ = [
     "ProcessExecutor",
     "resolve_executor",
     "available_workers",
-    "RuntimeCache",
-    "default_cache",
     "RUNTIME_STATS",
     # resilience
     "FailurePolicy",

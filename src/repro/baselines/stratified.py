@@ -11,11 +11,9 @@ makes that testable.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .._deprecations import resolve_positional_kwarg
 from ..cluster.features import Feature
 from ..cluster.source import ScenarioSource, ensure_dataset
 from ..runtime.executor import Executor, resolve_executor
@@ -29,15 +27,9 @@ __all__ = ["stratify_by_metric", "evaluate_by_stratified_sampling"]
 
 
 def stratify_by_metric(
-    values: np.ndarray, *args, n_strata: int = 6
+    values: np.ndarray, *, n_strata: int = 6
 ) -> np.ndarray:
-    """Assign each element a stratum index by quantile of *values*.
-
-    ``n_strata`` is keyword-only; passing it positionally is deprecated.
-    """
-    n_strata = resolve_positional_kwarg(
-        args, n_strata, owner="stratify_by_metric", name="n_strata"
-    )
+    """Assign each element a stratum index by quantile of *values*."""
     if n_strata < 1:
         raise ValueError("n_strata must be >= 1")
     arr = np.asarray(values, dtype=np.float64)

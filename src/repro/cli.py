@@ -132,11 +132,6 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
             "(worker-side telemetry included)"
         ),
     )
-    parser.add_argument(
-        "--runtime-stats",
-        action="store_true",
-        help="alias for --obs-summary",
-    )
 
 
 _EXPERIMENTS = (
@@ -455,9 +450,7 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
 
     trace_path = getattr(args, "trace", None)
-    want_summary = getattr(args, "obs_summary", False) or getattr(
-        args, "runtime_stats", False
-    )
+    want_summary = getattr(args, "obs_summary", False)
     # `repro ledger …` reads a ledger; every other command's --ledger
     # flag *writes* one — install it for the duration of the run.
     ledger_path = (

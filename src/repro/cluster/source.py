@@ -23,7 +23,6 @@ from typing import TYPE_CHECKING, Any, Iterator, Protocol, runtime_checkable
 
 import numpy as np
 
-from .._deprecations import resolve_renamed_kwarg
 from .machine import MachineShape
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -34,7 +33,6 @@ __all__ = [
     "ScenarioContentHasher",
     "scenario_schema",
     "ensure_dataset",
-    "resolve_source_argument",
 ]
 
 #: Version of the logical scenario record layout described by
@@ -204,21 +202,3 @@ def ensure_dataset(source: ScenarioSource) -> "ScenarioDataset":
         scenarios.extend(batch.scenarios)
     return ScenarioDataset(shape=source.shape, scenarios=tuple(scenarios))
 
-
-def resolve_source_argument(
-    source, dataset, *, owner: str
-) -> ScenarioSource:
-    """Support the renamed ``dataset=`` -> ``source=`` keyword.
-
-    The positional/``source=`` spelling is canonical; passing the legacy
-    ``dataset=`` keyword still works but warns (via the shared shim in
-    :mod:`repro._deprecations`).
-    """
-    return resolve_renamed_kwarg(
-        source,
-        dataset,
-        owner=owner,
-        old_name="dataset",
-        new_name="source",
-        stacklevel=3,
-    )

@@ -24,10 +24,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .._deprecations import resolve_renamed_kwarg
 from ..cluster.features import Feature
 from ..cluster.scenario import ScenarioDataset, ScenarioKey
-from ..cluster.source import ScenarioSource, resolve_source_argument
+from ..cluster.source import ScenarioSource
 from ..obs import span as obs_span
 from ..runtime.config import RuntimeConfig, resolve_runtime
 from ..runtime.executor import Executor
@@ -161,11 +160,9 @@ class Flare:
     # ------------------------------------------------------------------
     def fit(
         self,
-        source: "ScenarioSource | None" = None,
+        source: "ScenarioSource",
         *,
         runtime: "RuntimeConfig | Executor | str | None" = None,
-        executor: "Executor | str | None" = None,
-        dataset: ScenarioDataset | None = None,
     ) -> "Flare":
         """Run steps 1–3 on a scenario source; returns self.
 
@@ -183,21 +180,10 @@ class Flare:
         that is ``None`` too).  Results are bit-identical to serial
         fitting under any runtime, chunk size or worker count,
         including with fault injection enabled — see
-        :mod:`repro.runtime.resilience`.  The legacy ``executor=`` and
-        ``dataset=`` keywords still work with a
-        ``DeprecationWarning``.
+        :mod:`repro.runtime.resilience`.
         """
-        runtime = resolve_renamed_kwarg(
-            runtime,
-            executor,
-            owner="Flare.fit",
-            old_name="executor",
-            new_name="runtime",
-            required=False,
-        )
         if runtime is None:
             runtime = self.config.runtime
-        source = resolve_source_argument(source, dataset, owner="Flare.fit")
         if len(source) < 2:
             raise ValueError("FLARE needs at least 2 scenarios to fit")
         streaming = not isinstance(source, ScenarioDataset)
@@ -367,17 +353,14 @@ class Flare:
         feature: Feature,
         *,
         runtime: "RuntimeConfig | Executor | str | None" = None,
-        executor: "Executor | str | None" = None,
     ) -> FeatureImpactEstimate:
         """All-job impact estimate of *feature* (step 4).
 
         Per-representative replays dispatch on *runtime*
         (``config.runtime`` when omitted, serial when that is ``None``
-        too); the estimate is identical for every runtime.  The legacy
-        ``executor=`` keyword still works with a
-        ``DeprecationWarning``.
+        too); the estimate is identical for every runtime.
         """
-        runtime = self._evaluation_runtime(runtime, executor, "Flare.evaluate")
+        runtime = self._evaluation_runtime(runtime)
         with obs_span("flare.evaluate", feature=feature.name):
             estimate = self._with_runtime_executor(
                 runtime,
@@ -399,12 +382,9 @@ class Flare:
         job_name: str,
         *,
         runtime: "RuntimeConfig | Executor | str | None" = None,
-        executor: "Executor | str | None" = None,
     ) -> FeatureImpactEstimate:
         """Per-job impact estimate of *feature* on *job_name*."""
-        runtime = self._evaluation_runtime(
-            runtime, executor, "Flare.evaluate_job"
-        )
+        runtime = self._evaluation_runtime(runtime)
         with obs_span(
             "flare.evaluate_job", feature=feature.name, job=job_name
         ):
@@ -490,16 +470,8 @@ class Flare:
         )
         return report
 
-    def _evaluation_runtime(self, runtime, executor, owner: str):
-        """Merge the new/legacy/config spellings of the runtime argument."""
-        runtime = resolve_renamed_kwarg(
-            runtime,
-            executor,
-            owner=owner,
-            old_name="executor",
-            new_name="runtime",
-            required=False,
-        )
+    def _evaluation_runtime(self, runtime):
+        """*runtime*, or ``config.runtime`` when it is omitted."""
         return runtime if runtime is not None else self.config.runtime
 
     @staticmethod

@@ -18,7 +18,6 @@ from ..cluster.scenario import ScenarioDataset
 from ..cluster.simulation import DatacenterConfig, SimulationResult, run_simulation
 from ..core.analyzer import AnalyzerConfig
 from ..core.pipeline import Flare, FlareConfig
-from ..runtime.cache import default_cache
 from ..runtime.executor import Executor, resolve_executor
 
 __all__ = ["ExperimentScale", "ExperimentContext", "get_context"]
@@ -101,7 +100,12 @@ class ExperimentContext:
 
 @lru_cache(maxsize=8)
 def get_context(scale: str = "paper", seed: int = 2023) -> ExperimentContext:
-    """Build (or fetch) the memoised context for *scale* and *seed*."""
+    """Build (or fetch) the memoised context for *scale* and *seed*.
+
+    This ``lru_cache`` is the library's one fitted-model memo: figure
+    runs sharing a ``(scale, seed)`` pair simulate and fit once per
+    process.
+    """
     try:
         target, n_clusters, sweep = _SCALES[scale]
     except KeyError:
@@ -118,10 +122,7 @@ def get_context(scale: str = "paper", seed: int = 2023) -> ExperimentContext:
         flare_config = FlareConfig(
             analyzer=AnalyzerConfig(n_clusters=n_clusters, cluster_counts=sweep)
         )
-        # Digest-keyed cache: repeated contexts (and other callers fitting the
-        # same config on the same dataset) share one deterministic fit, and a
-        # REPRO_CACHE_DIR-backed disk layer survives across processes.
-        flare = default_cache().get_fitted(flare_config, simulation.dataset)
+        flare = Flare(flare_config).fit(simulation.dataset)
     return ExperimentContext(
         scale=scale, seed=seed, simulation=simulation, flare=flare
     )

@@ -126,7 +126,7 @@ def run_all_job(
     for feature in features:
         truth = context.truth(feature)
         flare_estimate = context.flare.evaluate(
-            feature, executor=context.executor
+            feature, runtime=context.executor
         )
         sampling = evaluate_by_sampling(
             context.dataset,
@@ -168,7 +168,7 @@ def run_per_job(
             if job_name not in truth.per_job:
                 continue
             flare_estimate = context.flare.evaluate_job(
-                feature, job_name, executor=context.executor
+                feature, job_name, runtime=context.executor
             )
             sampling = evaluate_job_by_sampling(
                 context.dataset,

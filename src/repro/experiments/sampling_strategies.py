@@ -106,7 +106,7 @@ def run(
         executor=executor,
     )
     flare_error = abs(
-        context.flare.evaluate(feature, executor=executor).reduction_pct
+        context.flare.evaluate(feature, runtime=executor).reduction_pct
         - truth.overall_reduction_pct
     )
 

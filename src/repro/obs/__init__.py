@@ -8,7 +8,7 @@ package is how the repo shows where that cost goes:
   (context-manager and decorator APIs) recording wall-clock, CPU time,
   peak-RSS delta and attributes; disabled by default via a no-op tracer;
 * :mod:`~repro.obs.metrics` — process-wide counters / gauges /
-  histograms (``replays_total``, ``cache_hits_total``, …) that merge
+  histograms (``replays_total``, ``checkpoint_hits_total``, …) that merge
   across process-pool workers;
 * :mod:`~repro.obs.export` — JSONL and Chrome trace-event exporters
   (Perfetto / ``chrome://tracing``) plus the ``--obs-summary`` renderer.

@@ -220,13 +220,13 @@ def render_summary(
 ) -> str:
     """Combined per-stage span table + metrics summary.
 
-    This is what the CLI's ``--obs-summary`` (and its ``--runtime-stats``
-    alias) prints: stage wall/CPU/RSS totals from the tracer — worker
-    spans included, since the executor stitches them back — followed by
-    the counters/gauges/histograms of the active registry, the legacy
-    per-dispatch ``RUNTIME_STATS`` table, the latest drift-monitor
-    scores (when a monitoring pass ran), and the tail of the active run
-    ledger (when one is installed).
+    This is what the CLI's ``--obs-summary`` prints: stage wall/CPU/RSS
+    totals from the tracer — worker spans included, since the executor
+    stitches them back — followed by the counters/gauges/histograms of
+    the active registry, the legacy per-dispatch ``RUNTIME_STATS``
+    table, the latest drift-monitor scores (when a monitoring pass
+    ran), and the tail of the active run ledger (when one is
+    installed).
     """
     from .tracing import get_tracer
 

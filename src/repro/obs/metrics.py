@@ -2,7 +2,7 @@
 
 The registry complements the tracer: spans say *where time went*,
 metrics say *how much work happened* — ``replays_total``,
-``cache_hits_total``, ``scenarios_profiled``, per-stage task-latency
+``checkpoint_hits_total``, ``scenarios_profiled``, per-stage task-latency
 histograms.  Everything is JSON-able and **mergeable**, which is what
 lets worker processes ship their increments back to the parent through
 the executor's capture channel (:mod:`repro.runtime.executor`) instead

@@ -16,10 +16,9 @@ through:
 * :mod:`repro.runtime.faultinject` — seeded, executor-independent fault
   injection (crash/hang/slow/flaky-exception) for reproducible chaos
   testing of those paths;
-* :mod:`repro.runtime.cache` — digest-keyed in-memory/on-disk caching
-  of profiled datasets and fitted models plus the
-  :class:`CheckpointJournal` behind CLI ``--resume`` (imported lazily;
-  it pulls in the whole pipeline).
+* :mod:`repro.runtime.cache` — the :class:`CheckpointJournal` behind
+  CLI ``--resume``: completed executor chunks journaled on disk by
+  content digest.
 
 Per-dispatch wall-clock and task counts are surfaced through
 :data:`repro.telemetry.RUNTIME_STATS`.
@@ -31,6 +30,7 @@ slices by value to its workers (see ``Profiler.iter_profile``); there
 is no transport to choose.
 """
 
+from .cache import CheckpointJournal
 from .config import (
     ResolvedRuntime,
     RuntimeConfig,
@@ -95,28 +95,5 @@ __all__ = [
     "InjectedFault",
     "InjectedCrash",
     "InjectedHang",
-    # lazily re-exported from .cache (heavy import chain)
-    "RuntimeCache",
     "CheckpointJournal",
-    "default_cache",
-    "dataset_digest",
-    "config_digest",
-    "CACHE_DIR_ENV_VAR",
 ]
-
-_CACHE_EXPORTS = {
-    "RuntimeCache",
-    "CheckpointJournal",
-    "default_cache",
-    "dataset_digest",
-    "config_digest",
-    "CACHE_DIR_ENV_VAR",
-}
-
-
-def __getattr__(name: str):
-    if name in _CACHE_EXPORTS:
-        from . import cache
-
-        return getattr(cache, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,23 +1,21 @@
-"""Unified runtime configuration: one dataclass instead of six keywords.
+"""Unified runtime configuration: one dataclass for every execution knob.
 
-Execution knobs accreted one keyword at a time — ``executor=``,
-``chunk_size=``, ``retries=``, ``task_timeout=``, ``failure_policy=``,
-``checkpoint=`` — each threaded separately through the facade, the CLI
-and the experiment context.  :class:`RuntimeConfig` collapses them into
-a single value that travels as one argument, persists in saved models
-(like ``memo=``), and maps one-to-one onto CLI flags:
+Executor choice, chunking, resilience and checkpointing travel as a
+single :class:`RuntimeConfig` value (the ``runtime=`` argument of the
+facade): it persists in saved models (like ``memo=``) and maps
+one-to-one onto CLI flags:
 
-==================  ======================  =====================
-legacy keyword      RuntimeConfig field     CLI flag
-==================  ======================  =====================
-``executor=``       ``executor``            ``--executor``
-``chunk_size=``     ``chunk_size``          ``--chunk-size``
-``retries=``        ``retries``             ``--retries``
-``task_timeout=``   ``task_timeout_s``      ``--task-timeout``
-``failure_policy=`` ``failure_policy``      ``--failure-policy``
-``checkpoint=``     ``checkpoint_dir``      ``--checkpoint``
-(new)               ``resume``              ``--resume``
-==================  ======================  =====================
+======================  =====================
+RuntimeConfig field     CLI flag
+======================  =====================
+``executor``            ``--executor``
+``chunk_size``          ``--chunk-size``
+``retries``             ``--retries``
+``task_timeout_s``      ``--task-timeout``
+``failure_policy``      ``--failure-policy``
+``checkpoint_dir``      ``--checkpoint``
+``resume``              ``--resume``
+======================  =====================
 
 Cost-aware chunking lives here too: fan-out stages record their
 measured per-item cost into a :mod:`repro.obs` histogram

@@ -15,7 +15,6 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .._deprecations import resolve_positional_kwarg
 from ..runtime.executor import Executor, resolve_executor
 from ..runtime.resilience import partition_failures
 from ..runtime.seeding import spawn_seed_sequences
@@ -220,15 +219,9 @@ def run_sampling_trials(
 
 
 def percentile_interval(
-    values, *args, confidence: float = 0.95
+    values, *, confidence: float = 0.95
 ) -> tuple[float, float]:
-    """Central percentile interval of *values* (e.g. 95 % CI of trials).
-
-    ``confidence`` is keyword-only; passing it positionally is deprecated.
-    """
-    confidence = resolve_positional_kwarg(
-        args, confidence, owner="percentile_interval", name="confidence"
-    )
+    """Central percentile interval of *values* (e.g. 95 % CI of trials)."""
     arr = as_vector(values, name="values")
     if arr.size == 0:
         raise ValueError("values must be non-empty")

@@ -4,8 +4,11 @@ The paper's Profiler records statistics "along with the commands and
 configurations of running jobs ... in our relational database" (§4.2).
 This module provides that substrate: typed tables with schemas, primary
 keys, predicate queries and ordering — enough for the Profiler to persist
-scenario metadata and metric samples, and for the Replayer to look up the
-recorded job commands when reconstructing a scenario.
+scenario metadata, job commands and metric samples when a caller passes
+``database=``.  Nothing in the pipeline reads it back: the Replayer
+rebuilds a scenario by round-tripping its own instances through
+``format_command``/``parse_command`` (see
+:meth:`repro.core.replayer.Replayer.reconstruct`).
 """
 
 from __future__ import annotations

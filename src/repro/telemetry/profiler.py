@@ -16,7 +16,7 @@ import numpy as np
 
 from ..cluster.features import BASELINE, Feature
 from ..cluster.scenario import Scenario, ScenarioDataset
-from ..cluster.source import ScenarioSource, resolve_source_argument
+from ..cluster.source import ScenarioSource
 from ..perfmodel.batch import solve_colocation_many
 from ..perfmodel.contention import (
     ColocationPerformance,
@@ -239,12 +239,10 @@ class Profiler:
     # ------------------------------------------------------------------
     def profile(
         self,
-        source: ScenarioSource | None = None,
+        source: ScenarioSource,
         feature: Feature = BASELINE,
         *,
         runtime=None,
-        executor=None,
-        dataset: ScenarioDataset | None = None,
     ) -> ProfiledDataset:
         """Collect metrics for every scenario under *feature*'s machine.
 
@@ -257,24 +255,10 @@ class Profiler:
         accepts a :class:`repro.runtime.RuntimeConfig`, an executor
         instance, a spec string (``"process:4"``), or an
         already-resolved runtime.  ``None`` collects inline (no executor
-        machinery, no environment lookup).  The legacy ``executor=`` and
-        ``dataset=`` keywords still work with a
-        :class:`DeprecationWarning`.
+        machinery, no environment lookup).
         """
-        from .._deprecations import resolve_renamed_kwarg
         from ..obs import span
 
-        runtime = resolve_renamed_kwarg(
-            runtime,
-            executor,
-            owner="Profiler.profile",
-            old_name="executor",
-            new_name="runtime",
-            required=False,
-        )
-        source = resolve_source_argument(
-            source, dataset, owner="Profiler.profile"
-        )
         with span(
             "profiler.profile",
             n_scenarios=len(source),
@@ -294,14 +278,12 @@ class Profiler:
 
     def iter_profile(
         self,
-        source: ScenarioSource | None = None,
+        source: ScenarioSource,
         feature: Feature = BASELINE,
         *,
         runtime=None,
-        executor=None,
         window: int | None = None,
         noise_offset: int = 0,
-        dataset: ScenarioDataset | None = None,
     ):
         """Profile a source batch-by-batch, yielding :class:`ProfiledBatch`.
 
@@ -329,23 +311,8 @@ class Profiler:
         Measurement noise is applied in the parent, in global row
         order, from the single seeded stream — yielded matrices are
         bit-identical to the inline path's rows under any runtime,
-        worker count or batch size.  The legacy ``executor=`` and
-        ``dataset=`` keywords still work with a
-        :class:`DeprecationWarning`.
+        worker count or batch size.
         """
-        from .._deprecations import resolve_renamed_kwarg
-
-        runtime = resolve_renamed_kwarg(
-            runtime,
-            executor,
-            owner="Profiler.iter_profile",
-            old_name="executor",
-            new_name="runtime",
-            required=False,
-        )
-        source = resolve_source_argument(
-            source, dataset, owner="Profiler.iter_profile"
-        )
         machine = feature(source.shape.perf)
         noise = MeasurementNoise(
             self.noise_sigma, np.random.default_rng(self.seed)

@@ -15,25 +15,25 @@ from repro.cluster import FEATURE_2_DVFS
 class TestStratifyByMetric:
     def test_quantile_strata_balanced(self, rng):
         values = rng.normal(size=1000)
-        strata = stratify_by_metric(values, 4)
+        strata = stratify_by_metric(values, n_strata=4)
         counts = np.bincount(strata)
         assert counts.size == 4
         assert counts.min() > 200
 
     def test_single_stratum(self, rng):
-        strata = stratify_by_metric(rng.normal(size=10), 1)
+        strata = stratify_by_metric(rng.normal(size=10), n_strata=1)
         assert (strata == 0).all()
 
     def test_monotone_in_value(self, rng):
         values = np.sort(rng.normal(size=100))
-        strata = stratify_by_metric(values, 5)
+        strata = stratify_by_metric(values, n_strata=5)
         assert (np.diff(strata) >= 0).all()
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
-            stratify_by_metric(np.zeros(5), 0)
+            stratify_by_metric(np.zeros(5), n_strata=0)
         with pytest.raises(ValueError):
-            stratify_by_metric(np.zeros((2, 2)), 2)
+            stratify_by_metric(np.zeros((2, 2)), n_strata=2)
 
 
 class TestStratifiedSampling:

@@ -201,21 +201,3 @@ class TestWorkerSpans:
             disable()
         assert _span_tree(serial_tracer) == _span_tree(process_tracer)
         assert len(serial_tracer.spans()) == len(process_tracer.spans())
-
-
-class TestCacheCounters:
-    def test_cache_hits_and_misses_reach_registry(self):
-        from repro.cluster.simulation import DatacenterConfig, run_simulation
-        from repro.core.pipeline import FlareConfig
-        from repro.runtime.cache import RuntimeCache
-
-        dataset = run_simulation(
-            DatacenterConfig(seed=11, target_unique_scenarios=20)
-        ).dataset
-        cache = RuntimeCache()
-        config = FlareConfig()
-        cache.get_profiled(config, dataset)
-        cache.get_profiled(config, dataset)
-        assert cache.misses == 1 and cache.hits == 1
-        assert get_metrics().counter("cache_misses_total") == 1.0
-        assert get_metrics().counter("cache_hits_total") == 1.0

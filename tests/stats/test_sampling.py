@@ -117,17 +117,17 @@ class TestRunSamplingTrials:
 class TestPercentileInterval:
     def test_covers_central_mass(self, rng):
         values = rng.normal(size=10000)
-        low, high = percentile_interval(values, 0.95)
+        low, high = percentile_interval(values, confidence=0.95)
         inside = ((values >= low) & (values <= high)).mean()
         assert inside == pytest.approx(0.95, abs=0.01)
 
     def test_interval_ordering(self, rng):
-        low, high = percentile_interval(rng.normal(size=100), 0.5)
+        low, high = percentile_interval(rng.normal(size=100), confidence=0.5)
         assert low <= high
 
     def test_invalid_confidence(self):
         with pytest.raises(ValueError):
-            percentile_interval([1.0, 2.0], 1.0)
+            percentile_interval([1.0, 2.0], confidence=1.0)
 
 
 class TestExpectedMaxError:

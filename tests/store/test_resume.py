@@ -103,3 +103,56 @@ class TestKillDuringStreamingProfile:
         assert resumed["hits"] == journaled
         assert resumed["slices_executed"] == total - journaled
         assert resumed["digest"] == control["digest"]
+
+
+class TestResumeOnAnotherWorkerCount:
+    """A journal restores every slice whatever worker count resumes it.
+
+    The profiler maps ``2 × max_workers`` slices per executor call, so
+    a ``process:2`` run and a ``process:1`` run group the same slices
+    into different calls; journal keys must not depend on that.
+    """
+
+    def _runtime(self, executor: str, journal_root, *, resume: bool):
+        from repro.runtime import RuntimeConfig
+
+        return RuntimeConfig(
+            executor=executor,
+            chunk_size=8,
+            checkpoint_dir=str(journal_root),
+            resume=resume,
+        )
+
+    def test_process2_journal_resumed_on_process1(
+        self, shared_store, tmp_path
+    ):
+        import hashlib
+
+        from repro.obs import get_metrics
+        from repro.telemetry import Profiler
+
+        def digest(profiled) -> str:
+            return hashlib.sha256(profiled.matrix.tobytes()).hexdigest()
+
+        def hits() -> float:
+            return get_metrics().counter("checkpoint_hits_total")
+
+        control = digest(Profiler().profile(shared_store))
+        journal_root = tmp_path / "journal"
+        journaled = Profiler().profile(
+            shared_store,
+            runtime=self._runtime("process:2", journal_root, resume=False),
+        )
+        assert digest(journaled) == control
+        slices = list(journal_root.glob("*/chunk-*.pkl"))
+        # 60 rows over 16-row shards in 8-row slices: 2 + 2 + 2 + 2.
+        assert len(slices) == 8
+
+        before = hits()
+        resumed = Profiler().profile(
+            shared_store,
+            runtime=self._runtime("process:1", journal_root, resume=True),
+        )
+        assert hits() - before == len(slices)
+        assert len(list(journal_root.glob("*/chunk-*.pkl"))) == len(slices)
+        assert digest(resumed) == control

@@ -57,14 +57,6 @@ class TestProfilerStreaming:
             start += len(batch.dataset)
         assert start == len(shared_store)
 
-    def test_dataset_keyword_deprecated(self, store_dataset):
-        profiler = Profiler()
-        with pytest.warns(DeprecationWarning, match="dataset"):
-            via_shim = profiler.profile(dataset=store_dataset)
-        np.testing.assert_array_equal(
-            via_shim.matrix, profiler.profile(store_dataset).matrix
-        )
-
 
 class TestStreamingFitEquivalence:
     def test_pruning_identical(self, memory_fit, streaming_flare):
@@ -153,11 +145,6 @@ class TestOutOfCoreSurface:
         assert streaming_flare.analysis.scores is None
         assert streaming_flare.analysis.score_mean.ndim == 1
 
-    def test_fit_dataset_keyword_deprecated(self, store_dataset, config):
-        with pytest.warns(DeprecationWarning, match="dataset"):
-            flare = Flare(config).fit(dataset=store_dataset)
-        assert flare.analysis.n_clusters == 8
-
 
 class TestApproximatePath:
     def test_sample_smaller_than_source_still_fits(self, shared_store):
@@ -204,7 +191,7 @@ class TestBaselinesAcceptStores:
         from repro.cluster import FEATURE_1_CACHE
 
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no deprecation on the new path
+            warnings.simplefilter("error")
             resident = evaluate_by_stratified_sampling(
                 store_dataset, FEATURE_1_CACHE, sample_size=10, n_trials=20
             )

@@ -1,4 +1,4 @@
-"""The stable ``repro.api`` surface and the legacy-path deprecation shims."""
+"""The stable ``repro.api`` surface and the spellings removed in 2.0."""
 
 import importlib
 import warnings
@@ -32,10 +32,8 @@ class TestApiSurface:
             Executor,
             ProcessExecutor,
             ResolvedRuntime,
-            RuntimeCache,
             RuntimeConfig,
             SerialExecutor,
-            default_cache,
             resolve_executor,
             resolve_runtime,
         )
@@ -61,25 +59,73 @@ class TestRetiredTopLevelImports:
 
 
 class TestKeywordOnlyKnobs:
-    def test_percentile_interval_positional_confidence_warns(self):
-        from repro.stats.sampling import percentile_interval
-
-        values = np.linspace(0.0, 1.0, 101)
-        with pytest.warns(DeprecationWarning, match="confidence"):
-            legacy = percentile_interval(values, 0.9)
-        assert legacy == percentile_interval(values, confidence=0.9)
-
     def test_percentile_interval_rejects_extra_positionals(self):
         from repro.stats.sampling import percentile_interval
 
         with pytest.raises(TypeError):
             percentile_interval([1.0, 2.0], 0.9, 0.8)
 
-    def test_stratify_by_metric_positional_n_strata_warns(self):
-        from repro.baselines.stratified import stratify_by_metric
 
-        values = np.linspace(0.0, 10.0, 60)
-        with pytest.warns(DeprecationWarning, match="n_strata"):
-            legacy = stratify_by_metric(values, 4)
-        modern = stratify_by_metric(values, n_strata=4)
-        np.testing.assert_array_equal(legacy, modern)
+def _legacy_spellings():
+    from repro.api import FEATURE_1_CACHE, Flare, Profiler
+    from repro.baselines.stratified import stratify_by_metric
+    from repro.stats.sampling import percentile_interval
+
+    values = np.linspace(0.0, 1.0, 101)
+    return {
+        "fit-dataset": lambda: Flare().fit(dataset=values),
+        "fit-executor": lambda: Flare().fit(values, executor="serial"),
+        "evaluate-executor": lambda: Flare().evaluate(
+            FEATURE_1_CACHE, executor="serial"
+        ),
+        "evaluate_job-executor": lambda: Flare().evaluate_job(
+            FEATURE_1_CACHE, "web-search", executor="serial"
+        ),
+        "profile-dataset": lambda: Profiler().profile(dataset=values),
+        "profile-executor": lambda: Profiler().profile(
+            values, executor="serial"
+        ),
+        "iter_profile-dataset": lambda: Profiler().iter_profile(
+            dataset=values
+        ),
+        "iter_profile-executor": lambda: Profiler().iter_profile(
+            values, executor="serial"
+        ),
+        "percentile_interval-positional": lambda: percentile_interval(
+            values, 0.9
+        ),
+        "stratify_by_metric-positional": lambda: stratify_by_metric(
+            values, 4
+        ),
+    }
+
+
+class TestRemovedSpellings:
+    @pytest.mark.parametrize("spelling", sorted(_legacy_spellings()))
+    def test_legacy_spelling_raises_type_error(self, spelling):
+        call = _legacy_spellings()[spelling]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            with pytest.raises(TypeError):
+                call()
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "RuntimeCache",
+            "default_cache",
+            "dataset_digest",
+            "config_digest",
+            "CACHE_DIR_ENV_VAR",
+        ],
+    )
+    def test_removed_cache_names_are_not_exported(self, name):
+        from repro import api, runtime
+        from repro.runtime import cache
+
+        for module in (api, runtime, cache):
+            assert not hasattr(module, name), (module.__name__, name)
+
+    def test_shim_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro._deprecations")

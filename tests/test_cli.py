@@ -52,6 +52,21 @@ class TestParser:
                 ["evaluate", "--model", str(model_path), "--feature", "nope"]
             )
 
+    def test_runtime_stats_flag_removed(self, dataset_path, tmp_path):
+        # --obs-summary is the one spelling; the 1.x alias is gone.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                [
+                    "fit",
+                    "--dataset",
+                    str(dataset_path),
+                    "--out",
+                    str(tmp_path / "model.json"),
+                    "--runtime-stats",
+                ]
+            )
+        assert exc.value.code == 2
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["--version"])
@@ -188,21 +203,6 @@ class TestObservabilityFlags:
         assert any(s.name == "flare.evaluate" for s in spans)
         assert metrics is not None
         assert metrics.counter("replays_total") > 0
-
-    def test_runtime_stats_alias(self, model_path, capsys):
-        code = main(
-            [
-                "evaluate",
-                "--model",
-                str(model_path),
-                "--feature",
-                "feature1",
-                "--runtime-stats",
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "flare.evaluate" in out
 
     def test_tracer_disabled_after_observed_run(self, model_path):
         from repro.obs import get_tracer
